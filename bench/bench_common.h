@@ -13,9 +13,10 @@
 namespace aujoin {
 
 /// A fully-materialised synthetic evaluation world: knowledge sources plus
-/// a labelled corpus. Stand-in for the paper's MED/WIKI datasets (see
-/// DESIGN.md substitution table); scale is controlled by flags so the same
-/// binary reproduces the paper's shape at any size.
+/// a labelled corpus. Stand-in for the paper's MED/WIKI datasets: the
+/// src/datagen generators replace the MeSH / Wikipedia taxonomies, the
+/// synonym rules and the strings; scale is controlled by flags so the
+/// same binary reproduces the paper's shape at any size.
 struct BenchWorld {
   Vocabulary vocab;
   Taxonomy taxonomy;
@@ -54,7 +55,7 @@ inline std::unique_ptr<BenchWorld> BuildWorld(const std::string& profile_name,
 
 // Benches construct their MsimOptions with q = 3: on the synthetic
 // corpora the syllable-built words have a compressed 2-gram space, so
-// 3-grams restore realistic signature selectivity (see EXPERIMENTS.md).
+// 3-grams restore realistic signature selectivity.
 
 /// Prints the standard bench banner.
 inline void PrintBanner(const char* experiment, const char* paper_ref,

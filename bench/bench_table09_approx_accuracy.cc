@@ -1,7 +1,8 @@
 // Reproduces Table 9: approximation accuracy of Algorithm 1 vs the exact
 // exponential algorithm, as percentiles of the ratio approx/exact, while
 // the maximal rule size k varies. Also prints the no-improvement ablation
-// (plain SquareImp) that DESIGN.md calls out.
+// (plain SquareImp, with the claw-improvement phase disabled), which
+// isolates what that phase adds.
 //
 // Instances are adversarial in the style of Example 5 / Figure 2: many
 // *overlapping* synonym rules connect random spans of the two strings, so

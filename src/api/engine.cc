@@ -47,46 +47,31 @@ void Engine::SetRecords(const std::vector<Record>& s,
   checkpoint_path_.clear();
   auto_checkpoint_status_ = Status::OK();
   auto_checkpoints_ = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard_state_->mutex);
-    shard_state_->ready.store(false, std::memory_order_relaxed);
-    sharded_.reset();
-  }
-  std::lock_guard<std::mutex> lock(index_state_->mutex);
-  index_state_->ready.store(false, std::memory_order_relaxed);
-  index_.reset();
+  sharded_->Reset();
+  index_->Reset();
 }
 
-Result<const ShardedIndex*> Engine::ShardedServing() const {
-  if (s_records_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::ShardedServing called before SetRecords()");
-  }
-  // Same lock-free-once-published discipline as ServingIndex: mutations
-  // are never concurrent with serving, so `ready` seen true means
-  // sharded_ is stable until the next mutation.
-  if (!shard_state_->ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(shard_state_->mutex);
-    if (sharded_ == nullptr) {
-      // Serving probes the T side (== S for a self-join); that is the
-      // collection the shard plan splits.
-      const std::vector<Record>& targets =
-          t_records_ != nullptr ? *t_records_ : *s_records_;
-      ShardPlan plan = ShardPlan::Make(targets.size(), options_.num_shards,
-                                       options_.shard_by);
-      sharded_ = std::make_unique<ShardedIndex>(options_.knowledge,
-                                                options_.msim, targets, plan);
-    }
-    shard_state_->ready.store(true, std::memory_order_release);
-  }
-  return sharded_.get();
+std::shared_ptr<const ShardedIndex> Engine::BuildShards() const {
+  // Serving probes the T side (== S for a self-join); that is the
+  // collection the shard plan splits.
+  const std::vector<Record>& targets =
+      t_records_ != nullptr ? *t_records_ : *s_records_;
+  return std::make_shared<const ShardedIndex>(
+      options_.knowledge, options_.msim, targets,
+      ShardPlan::Make(targets.size(), options_.num_shards,
+                      options_.shard_by));
 }
 
 Status Engine::SaveIndex(const std::string& path) const {
-  if (options_.num_shards > 0 && generational_ == nullptr) {
+  if (options_.num_shards > 0) {
     // Sharded mode persists one snapshot file per shard behind a
     // manifest, so a later engine can mount shards independently.
-    Result<const ShardedIndex*> sharded = ShardedServing();
+    if (s_records_ == nullptr) {
+      return Status::FailedPrecondition(
+          "Engine::SaveIndex called before SetRecords()");
+    }
+    Result<std::shared_ptr<const ShardedIndex>> sharded =
+        sharded_->Get([this] { return BuildShards(); });
     if (!sharded.ok()) return sharded.status();
     return (*sharded)->Save(path, ResolveEnv(options_));
   }
@@ -117,9 +102,7 @@ Status Engine::LoadIndex(const std::string& path) {
     if (!loaded.ok()) return loaded.status();
     from_snapshot_ = true;
     snapshot_load_seconds_ = timer.Seconds();
-    std::lock_guard<std::mutex> lock(shard_state_->mutex);
-    sharded_ = std::move(*loaded);
-    shard_state_->ready.store(true, std::memory_order_release);
+    sharded_->Set(std::move(*loaded));
     return Status::OK();
   }
   Result<std::shared_ptr<const PreparedIndex>> loaded = PreparedIndex::Load(
@@ -129,9 +112,7 @@ Status Engine::LoadIndex(const std::string& path) {
   context_.reset();  // a prepared join context would borrow the old index
   from_snapshot_ = true;
   snapshot_load_seconds_ = timer.Seconds();
-  std::lock_guard<std::mutex> lock(index_state_->mutex);
-  index_ = *loaded;
-  index_state_->ready.store(true, std::memory_order_release);
+  index_->Set(*loaded);
   return Status::OK();
 }
 
@@ -145,6 +126,11 @@ Status Engine::EnableAppend(const std::string& wal_path,
   if (t_records_ != nullptr) {
     return Status::InvalidArgument(
         "append mode serves a single growing collection (self-join only)");
+  }
+  if (options_.num_shards > 0) {
+    return Status::FailedPrecondition(
+        "append mode serves one growing collection as frozen + staging "
+        "generations; it cannot run on a sharded engine (num_shards > 0)");
   }
   if (make_record == nullptr) {
     return Status::InvalidArgument(
@@ -294,23 +280,18 @@ Status Engine::Checkpoint(const std::string& path) {
   return wal_->Reset();
 }
 
-Result<std::shared_ptr<const PreparedIndex>> Engine::ServingIndex() const {
+Result<std::shared_ptr<const PreparedIndex>> Engine::ServingIndex(
+    double* built_seconds) const {
   if (s_records_ == nullptr) {
     return Status::FailedPrecondition(
         "Engine::ServingIndex called before SetRecords()");
   }
-  // Lock-free once published: SetRecords (a mutation, never concurrent
-  // with serving) is the only thing that unpublishes, so after the
-  // acquire load sees `ready`, index_ is stable until then.
-  if (!index_state_->ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(index_state_->mutex);
-    if (index_ == nullptr) {
-      index_ = PreparedIndex::Build(options_.knowledge, options_.msim,
+  return index_->Get(
+      [this] {
+        return PreparedIndex::Build(options_.knowledge, options_.msim,
                                     *s_records_, t_records_);
-    }
-    index_state_->ready.store(true, std::memory_order_release);
-  }
-  return index_;
+      },
+      built_seconds);
 }
 
 JoinContext& Engine::PreparedContext() {
@@ -419,82 +400,62 @@ UnifiedSearcher::SearchOptions ToSearcherOptions(
   return out;
 }
 
+/// Folds one call's statistics into the caller's.
+void AddSearchStats(const SearchStats& call, SearchStats* stats) {
+  if (stats == nullptr) return;
+  stats->queries += call.queries;
+  stats->query_candidates += call.query_candidates;
+  stats->results += call.results;
+  stats->index_seconds += call.index_seconds;
+  stats->search_seconds += call.search_seconds;
+  if (call.shards > 0) stats->shards = call.shards;
+}
+
 }  // namespace
+
+Result<Engine::ServingView> Engine::ServingSlices(SearchStats* stats) const {
+  if (s_records_ == nullptr) {
+    return Status::FailedPrecondition(
+        "Engine serving called before SetRecords()");
+  }
+  ServingView view;
+  if (generational_ != nullptr) {
+    view.slices = generational_->Slices(&stats->index_seconds);
+  } else if (options_.num_shards > 0) {
+    Result<std::shared_ptr<const ShardedIndex>> sharded = sharded_->Get(
+        [this] { return BuildShards(); }, &stats->index_seconds);
+    if (!sharded.ok()) return sharded.status();
+    Result<std::vector<SearchSlice>> slices =
+        (*sharded)->Slices(options_.num_threads, &stats->index_seconds);
+    if (!slices.ok()) return slices.status();
+    view.slices = std::move(*slices);
+    view.scatter_threads = options_.num_threads;
+    stats->shards = (*sharded)->num_shards();
+  } else {
+    Result<std::shared_ptr<const PreparedIndex>> index =
+        ServingIndex(&stats->index_seconds);
+    if (!index.ok()) return index.status();
+    view.slices.push_back(SearchSlice{*index});
+  }
+  return view;
+}
 
 Result<std::vector<UnifiedSearcher::Match>> Engine::Search(
     const Record& query, const EngineSearchOptions& options,
     SearchStats* stats) const {
-  if (generational_ != nullptr) {
-    // Append mode: the generational index probes frozen + staging and
-    // merges under the serving order; its Search is const-thread-safe.
-    WallTimer wall;
-    UnifiedSearcher::QueryStats query_stats;
-    std::vector<UnifiedSearcher::Match> matches =
-        options.k > 0 ? generational_->TopK(query, options.k, options.theta,
-                                            ToSearcherOptions(options),
-                                            &query_stats)
-                      : generational_->Search(query,
-                                              ToSearcherOptions(options),
-                                              &query_stats);
-    if (stats != nullptr) {
-      stats->queries += query_stats.queries;
-      stats->query_candidates += query_stats.candidates;
-      stats->results += matches.size();
-      stats->search_seconds += wall.Seconds();
-    }
-    return matches;
-  }
-  if (use_sharded_serving()) {
-    // Scatter-gather: probe every shard in parallel and merge the
-    // ranked lists — identical to the monolithic ranking (see
-    // shard/sharded_index.h for the argument).
-    Result<const ShardedIndex*> sharded = ShardedServing();
-    if (!sharded.ok()) return sharded.status();
-    WallTimer wall;
-    double built_seconds = 0.0;
-    UnifiedSearcher::QueryStats query_stats;
-    Result<std::vector<UnifiedSearcher::Match>> matches =
-        options.k > 0
-            ? (*sharded)->TopK(query, options.k, options.theta,
-                               ToSearcherOptions(options),
-                               options_.num_threads, &query_stats,
-                               &built_seconds)
-            : (*sharded)->Search(query, ToSearcherOptions(options),
-                                 options_.num_threads, &query_stats,
-                                 &built_seconds);
-    if (!matches.ok()) return matches.status();
-    if (stats != nullptr) {
-      stats->queries += query_stats.queries;
-      stats->query_candidates += query_stats.candidates;
-      stats->results += matches->size();
-      stats->index_seconds += built_seconds;
-      stats->search_seconds += wall.Seconds();
-      stats->shards = (*sharded)->num_shards();
-    }
-    return matches;
-  }
-  Result<std::shared_ptr<const PreparedIndex>> index = ServingIndex();
-  if (!index.ok()) return index.status();
   WallTimer wall;
-  // Force the frozen CSR serving index here so its one-time staging +
-  // freeze cost is charged exactly once, to whichever concurrent call
-  // actually performed it; afterwards every probe is a read-only scan.
-  double index_built_seconds = 0.0;
-  (*index)->ServingIndex(&index_built_seconds);
-  UnifiedSearcher searcher(*index);
+  SearchStats call;
+  Result<ServingView> view = ServingSlices(&call);
+  if (!view.ok()) return view.status();
   UnifiedSearcher::QueryStats query_stats;
   std::vector<UnifiedSearcher::Match> matches =
-      options.k > 0
-          ? searcher.TopK(query, options.k, options.theta,
-                          ToSearcherOptions(options), &query_stats)
-          : searcher.Search(query, ToSearcherOptions(options), &query_stats);
-  if (stats != nullptr) {
-    stats->queries += query_stats.queries;
-    stats->query_candidates += query_stats.candidates;
-    stats->results += matches.size();
-    stats->index_seconds += index_built_seconds;
-    stats->search_seconds += wall.Seconds();
-  }
+      SearchSlices(view->slices, query, options.k, ToSearcherOptions(options),
+                   view->scatter_threads, &query_stats, &call.index_seconds);
+  call.queries = query_stats.queries;
+  call.query_candidates = query_stats.candidates;
+  call.results = matches.size();
+  call.search_seconds = wall.Seconds();
+  AddSearchStats(call, stats);
   return matches;
 }
 
@@ -506,23 +467,17 @@ Status Engine::Search(const Record& query, const EngineSearchOptions& options,
   // Count `results` as matches actually emitted (the sink may stop
   // early), matching BatchSearch's streaming semantics; the other
   // counters pass through from the vector Search.
-  SearchStats local;
+  SearchStats call;
   Result<std::vector<UnifiedSearcher::Match>> matches =
-      Search(query, options, stats == nullptr ? nullptr : &local);
+      Search(query, options, &call);
   if (!matches.ok()) return matches.status();
   uint64_t emitted = 0;
   for (const UnifiedSearcher::Match& m : *matches) {
     ++emitted;
     if (!sink->OnMatch(query.id, m.id)) break;
   }
-  if (stats != nullptr) {
-    stats->queries += local.queries;
-    stats->query_candidates += local.query_candidates;
-    stats->index_seconds += local.index_seconds;
-    stats->search_seconds += local.search_seconds;
-    stats->results += emitted;
-    if (local.shards > 0) stats->shards = local.shards;
-  }
+  call.results = emitted;
+  AddSearchStats(call, stats);
   return Status::OK();
 }
 
@@ -556,94 +511,28 @@ Status Engine::BatchSearch(
     return Status::InvalidArgument("BatchSearch requires a callback");
   }
   WallTimer wall;
-  double index_built_seconds = 0.0;
-  uint64_t scattered_shards = 0;
+  SearchStats call;
+  Result<ServingView> view = ServingSlices(&call);
+  if (!view.ok()) return view.status();
   const UnifiedSearcher::SearchOptions searcher_options =
       ToSearcherOptions(options);
   const int workers = ResolveThreads(options_.num_threads);
   std::vector<std::vector<UnifiedSearcher::Match>> results(queries.size());
   std::vector<UnifiedSearcher::QueryStats> worker_stats(workers);
-  if (generational_ != nullptr) {
-    // Append mode: each worker probes the generational index directly
-    // (const and thread-safe; every query pins its own generations).
-    const GenerationalIndex* generational = generational_.get();
-    ParallelFor(queries.size(), options_.num_threads,
-                [&](size_t begin, size_t end, int worker) {
-                  for (size_t q = begin; q < end; ++q) {
-                    results[q] =
-                        options.k > 0
-                            ? generational->TopK(queries[q], options.k,
-                                                 options.theta,
-                                                 searcher_options,
-                                                 &worker_stats[worker])
-                            : generational->Search(queries[q],
-                                                   searcher_options,
-                                                   &worker_stats[worker]);
-                  }
-                });
-  } else if (use_sharded_serving()) {
-    // Parallelism lives at the query level here (each worker owns a
-    // query slice), so every per-query scatter runs its shard scans
-    // serially — never a pool inside a pool.
-    Result<const ShardedIndex*> shardedr = ShardedServing();
-    if (!shardedr.ok()) return shardedr.status();
-    const ShardedIndex* sharded = *shardedr;
-    scattered_shards = sharded->num_shards();
-    std::vector<double> worker_built(workers, 0.0);
-    std::vector<Status> worker_status(workers, Status::OK());
-    std::atomic<bool> failed{false};
-    ParallelFor(queries.size(), options_.num_threads,
-                [&](size_t begin, size_t end, int worker) {
-                  for (size_t q = begin; q < end; ++q) {
-                    if (failed.load(std::memory_order_relaxed)) return;
-                    Result<std::vector<UnifiedSearcher::Match>> matches =
-                        options.k > 0
-                            ? sharded->TopK(queries[q], options.k,
-                                            options.theta, searcher_options,
-                                            /*num_threads=*/1,
-                                            &worker_stats[worker],
-                                            &worker_built[worker])
-                            : sharded->Search(queries[q], searcher_options,
-                                              /*num_threads=*/1,
-                                              &worker_stats[worker],
-                                              &worker_built[worker]);
-                    if (!matches.ok()) {
-                      worker_status[worker] = matches.status();
-                      failed.store(true, std::memory_order_relaxed);
-                      return;
-                    }
-                    results[q] = std::move(*matches);
-                  }
-                });
-    for (const Status& status : worker_status) {
-      if (!status.ok()) return status;
-    }
-    for (double built : worker_built) index_built_seconds += built;
-  } else {
-    Result<std::shared_ptr<const PreparedIndex>> index = ServingIndex();
-    if (!index.ok()) return index.status();
-    // Force the frozen CSR serving index once up front so the parallel
-    // workers only read it (they would build it safely anyway, but
-    // serially); the build cost is charged to this call only if it
-    // performed the build. Each worker then reuses one thread_local
-    // count-merge accumulator across its whole query slice.
-    (*index)->ServingIndex(&index_built_seconds);
-
-    UnifiedSearcher searcher(*index);
-    ParallelFor(queries.size(), options_.num_threads,
-                [&](size_t begin, size_t end, int worker) {
-                  for (size_t q = begin; q < end; ++q) {
-                    results[q] = options.k > 0
-                                     ? searcher.TopK(queries[q], options.k,
-                                                     options.theta,
-                                                     searcher_options,
-                                                     &worker_stats[worker])
-                                     : searcher.Search(queries[q],
-                                                       searcher_options,
-                                                       &worker_stats[worker]);
-                  }
-                });
-  }
+  std::vector<double> worker_froze(workers, 0.0);
+  // Parallelism lives at the query level here (each worker owns a query
+  // range and reuses one thread_local count-merge accumulator across
+  // it), so every query scatters over the slices serially — never a
+  // pool inside a pool.
+  ParallelFor(queries.size(), options_.num_threads,
+              [&](size_t begin, size_t end, int worker) {
+                for (size_t q = begin; q < end; ++q) {
+                  results[q] = SearchSlices(
+                      view->slices, queries[q], options.k, searcher_options,
+                      /*num_threads=*/1, &worker_stats[worker],
+                      &worker_froze[worker]);
+                }
+              });
 
   uint64_t emitted = 0;
   bool stopped = false;
@@ -656,16 +545,14 @@ Status Engine::BatchSearch(
       }
     }
   }
-  if (stats != nullptr) {
-    for (const UnifiedSearcher::QueryStats& ws : worker_stats) {
-      stats->queries += ws.queries;
-      stats->query_candidates += ws.candidates;
-    }
-    stats->results += emitted;
-    stats->index_seconds += index_built_seconds;
-    stats->search_seconds += wall.Seconds();
-    if (scattered_shards > 0) stats->shards = scattered_shards;
+  for (int w = 0; w < workers; ++w) {
+    call.queries += worker_stats[w].queries;
+    call.query_candidates += worker_stats[w].candidates;
+    call.index_seconds += worker_froze[w];
   }
+  call.results = emitted;
+  call.search_seconds = wall.Seconds();
+  AddSearchStats(call, stats);
   return Status::OK();
 }
 

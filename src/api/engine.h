@@ -8,10 +8,8 @@
 #ifndef AUJOIN_API_ENGINE_H_
 #define AUJOIN_API_ENGINE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,6 +24,7 @@
 #include "join/search.h"
 #include "shard/shard_plan.h"
 #include "tuner/recommend.h"
+#include "util/lazy_shared.h"
 #include "util/status.h"
 
 namespace aujoin {
@@ -48,23 +47,23 @@ struct EngineOptions {
   size_t cache_evict_threshold = 500000;
   /// Candidate pairs verified per streaming flush to a MatchSink.
   size_t stream_batch_size = 4096;
-  /// When > 0, every Join runs through the partitioned pipeline: the
-  /// bound collection(s) are sharded into partitions of at most this many
-  /// records and partition-pair blocks execute in parallel on a shared
-  /// thread pool, bounding prepared-context memory by the blocks in
-  /// flight instead of the whole collection (see join/pipeline.h). 0 runs
-  /// the monolithic path. Either way the match set and its emission order
-  /// are identical.
+  /// When > 0, every Join runs through the partitioned pipeline: each
+  /// bound collection is split into the fewest balanced range shards of
+  /// at most this many records (ShardPlan::Bounded) and shard-pair
+  /// blocks execute in parallel on a shared thread pool, bounding
+  /// prepared-context memory by the blocks in flight instead of the
+  /// whole collection (see join/pipeline.h). 0 runs the monolithic path.
+  /// Either way the match set and its emission order are identical.
   size_t max_partition_records = 0;
   /// First-class shards: when > 0, the bound collection(s) are split
   /// into exactly this many shards (by `shard_by`), joins enumerate
   /// shard-pair blocks through the same pipeline the partition mode
-  /// uses, serving scatters every query across per-shard searchers and
-  /// stripe-merges the ranked results, and SaveIndex/LoadIndex persist
-  /// one snapshot file per shard behind a manifest. Results are
+  /// uses, serving scatters every query across the shards' slices and
+  /// merges the ranked results, and SaveIndex/LoadIndex persist one
+  /// snapshot file per shard behind a manifest. Results are
   /// byte-identical to the monolithic path. Takes precedence over
-  /// max_partition_records; ignored in append mode (the generational
-  /// index serves appends).
+  /// max_partition_records. EnableAppend refuses a sharded engine
+  /// (appends grow one collection, served as frozen + staging).
   size_t num_shards = 0;
   /// Shard placement scheme (record range or key hash); see
   /// shard/shard_plan.h.
@@ -120,13 +119,17 @@ struct SearchStats {
   /// or callback) this counts matches actually emitted — a consumer
   /// that stops early caps it, including the match it declined.
   uint64_t results = 0;
-  /// One-time serving-index build seconds, charged to the call that
-  /// forced it (0 afterwards — the index is shared and immutable).
+  /// The one-time index work this call paid across the slices it
+  /// searched, in every serving mode: lazy prepares (the monolithic
+  /// index, each shard's, append mode's staging generation), snapshot
+  /// mounts of lazily loaded shards, and CSR serving-index freezes.
+  /// Concurrent calls charge each piece once, to the call that did it;
+  /// 0 once everything is resident.
   double index_seconds = 0.0;
   /// Wall seconds of the whole call, including any index build.
   double search_seconds = 0.0;
   /// Shards the query scattered across (EngineOptions::num_shards);
-  /// zero on the monolithic serving path.
+  /// zero on the monolithic and append serving paths.
   uint64_t shards = 0;
 };
 
@@ -194,7 +197,10 @@ class Engine {
   /// searches and external UnifiedSearchers all borrow this one
   /// instance; it stays valid after SetRecords rebinds the engine as
   /// long as the caller holds the shared_ptr (and the old records).
-  Result<std::shared_ptr<const PreparedIndex>> ServingIndex() const;
+  /// `built_seconds` (when given) gains the build's seconds if this
+  /// call ran it.
+  Result<std::shared_ptr<const PreparedIndex>> ServingIndex(
+      double* built_seconds = nullptr) const;
 
   /// Persists the prepared index (building it first if needed) as a
   /// versioned snapshot at `path` — see storage/snapshot_format.h. A
@@ -221,7 +227,8 @@ class Engine {
   /// index was rebuilt in-process).
   double snapshot_load_seconds() const { return snapshot_load_seconds_; }
 
-  /// Switches the engine into append-serving mode (self-join only): a
+  /// Switches the engine into append-serving mode (self-join, unsharded
+  /// engines only — kFailedPrecondition when num_shards > 0): a
   /// GenerationalIndex over the bound records becomes the serving
   /// structure, and every Append is made durable through a WAL at
   /// `wal_path` before it is acknowledged.
@@ -282,17 +289,21 @@ class Engine {
   /// Size-triggered checkpoints taken since EnableAppend.
   uint64_t auto_checkpoints() const { return auto_checkpoints_; }
 
-  /// The scatter-gather serving structure when EngineOptions::num_shards
-  /// > 0 (built or mounted lazily); nullptr before first use or in
+  /// The sharded serving structure when EngineOptions::num_shards > 0
+  /// (built or mounted lazily); nullptr before first use or in
   /// monolithic/append mode. Exposed for tests asserting lazy per-shard
   /// residency.
-  const ShardedIndex* sharded_index() const { return sharded_.get(); }
+  const ShardedIndex* sharded_index() const {
+    return sharded_->Peek().get();
+  }
 
   /// Online search over the bound T side (== S for a self-join): every
   /// record with Approx USIM >= theta, ordered by similarity desc then
-  /// id asc, truncated to options.k when set. Const and safe to call
-  /// from many threads concurrently on one engine; all per-query
-  /// scratch state is local to the call.
+  /// id asc, truncated to options.k when set. Whatever the mode, the
+  /// query scatters over the slices ServingSlices pins (join/search.h's
+  /// SearchSlices); a sharded engine scatters over num_threads. Const
+  /// and safe to call from many threads concurrently on one engine;
+  /// all per-query scratch state is local to the call.
   Result<std::vector<UnifiedSearcher::Match>> Search(
       const Record& query, const EngineSearchOptions& options,
       SearchStats* stats = nullptr) const;
@@ -309,11 +320,13 @@ class Engine {
       const Record& query, size_t k, const EngineSearchOptions& options,
       SearchStats* stats = nullptr) const;
 
-  /// Fans `queries` across a ThreadPool (the engine's num_threads
-  /// policy) and streams every match to `on_match(query_index, match)`
-  /// in ascending query order, rank order within a query, each exactly
-  /// once. A false return stops the emission immediately (matches
-  /// after it, including the current query's, are dropped).
+  /// Pins the serving slices once, fans `queries` across a ThreadPool
+  /// (the engine's num_threads policy; each query scatters over the
+  /// slices serially) and streams every match to
+  /// `on_match(query_index, match)` in ascending query order, rank
+  /// order within a query, each exactly once. A false return stops the
+  /// emission immediately (matches after it, including the current
+  /// query's, are dropped).
   Status BatchSearch(
       const std::vector<Record>& queries, const EngineSearchOptions& options,
       const std::function<bool(uint32_t, const UnifiedSearcher::Match&)>&
@@ -332,36 +345,36 @@ class Engine {
  private:
   AlgorithmContext MakeAlgorithmContext();
 
-  /// The lazily-built sharded serving structure (num_shards > 0 only):
-  /// splits the T side (== S for self-joins) under the engine's shard
-  /// plan. Same lock-free-once-published pattern as ServingIndex.
-  Result<const ShardedIndex*> ShardedServing() const;
+  /// What one serving call searches: the pinned slices, and how many
+  /// threads may scatter one query over them.
+  struct ServingView {
+    std::vector<SearchSlice> slices;
+    int scatter_threads = 1;
+  };
 
-  /// Whether serving should scatter-gather across shards: num_shards
-  /// configured and not in append mode (the generational index takes
-  /// precedence — appends land in one growing collection).
-  bool use_sharded_serving() const {
-    return options_.num_shards > 0 && generational_ == nullptr;
-  }
+  /// The serving path's one mode switch. Pins the slices a query
+  /// scatters to: append mode's frozen + staging generations, a sharded
+  /// engine's N shards (built or mounted lazily, in parallel; scattered
+  /// over num_threads), or else the one shared index (no records are
+  /// copied). Monolithic and append slices are searched inline. Adds
+  /// the lazy prepare and mount seconds it paid to stats->index_seconds
+  /// and sets stats->shards for a sharded engine.
+  Result<ServingView> ServingSlices(SearchStats* stats) const;
+
+  /// The build step of sharded_: the T side (== S for self-joins) split
+  /// under the engine's shard plan.
+  std::shared_ptr<const ShardedIndex> BuildShards() const;
 
   EngineOptions options_;
   const std::vector<Record>* s_records_ = nullptr;
   const std::vector<Record>* t_records_ = nullptr;
   std::unique_ptr<JoinContext> context_;
-  /// Guards the lazy build/reset of index_ (the only engine state const
-  /// serving methods touch); the index itself is immutable once built.
-  /// `ready` is the release/acquire flag that lets concurrent searches
-  /// skip the mutex once the index is published — queries contend on
-  /// nothing but the shared_ptr refcount. Behind a unique_ptr so the
-  /// Engine stays movable (moving while another thread serves from the
-  /// engine is undefined, as usual).
-  struct LazyIndexState {
-    std::mutex mutex;
-    std::atomic<bool> ready{false};
-  };
-  mutable std::unique_ptr<LazyIndexState> index_state_ =
-      std::make_unique<LazyIndexState>();
-  mutable std::shared_ptr<const PreparedIndex> index_;
+  /// The lazily built shared index (the only engine state const
+  /// serving methods publish); immutable once built. Behind a
+  /// unique_ptr so the Engine stays movable (moving while another
+  /// thread serves from the engine is undefined, as usual).
+  std::unique_ptr<LazyShared<PreparedIndex>> index_ =
+      std::make_unique<LazyShared<PreparedIndex>>();
   /// Provenance of `index_`, written only by mutations (SetRecords /
   /// LoadIndex) and read by stats reporting.
   bool from_snapshot_ = false;
@@ -384,17 +397,10 @@ class Engine {
   Status auto_checkpoint_status_;
   uint64_t auto_checkpoints_ = 0;
 
-  /// Scatter-gather serving (EngineOptions::num_shards > 0): built or
-  /// mounted lazily under its own mutex + ready flag so concurrent
-  /// first searches agree on one instance; the instance itself is
-  /// const-thread-safe.
-  struct LazyShardState {
-    std::mutex mutex;
-    std::atomic<bool> ready{false};
-  };
-  mutable std::unique_ptr<LazyShardState> shard_state_ =
-      std::make_unique<LazyShardState>();
-  mutable std::unique_ptr<ShardedIndex> sharded_;
+  /// Sharded serving (EngineOptions::num_shards > 0): built or mounted
+  /// lazily; the instance itself is const-thread-safe.
+  std::unique_ptr<LazyShared<ShardedIndex>> sharded_ =
+      std::make_unique<LazyShared<ShardedIndex>>();
 };
 
 /// Fluent construction of an Engine; every setter has a sensible default

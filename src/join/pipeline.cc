@@ -179,27 +179,19 @@ Status RunPartitionedJoin(const AlgorithmFactory& factory,
   }
 
   const bool self = context.self_join();
-  ShardPlan s_plan, t_plan;
-  if (shard_mode) {
-    s_plan = ShardPlan::Make(context.s_records->size(),
-                             pipeline_options.num_shards,
-                             pipeline_options.shard_by);
-    t_plan = self ? s_plan
-                  : ShardPlan::Make(context.t_records->size(),
-                                    pipeline_options.num_shards,
-                                    pipeline_options.shard_by);
-  } else {
-    s_plan = ShardPlan::FromPartitions(
-        PartitionPlan::Shard(context.s_records->size(),
-                             pipeline_options.max_partition_records),
-        context.s_records->size());
-    t_plan = self ? s_plan
-                  : ShardPlan::FromPartitions(
-                        PartitionPlan::Shard(
-                            context.t_records->size(),
-                            pipeline_options.max_partition_records),
-                        context.t_records->size());
-  }
+  // Both modes are range or hash shard plans per side: exactly
+  // num_shards shards, or (partition mode) the fewest balanced range
+  // shards within the record bound.
+  auto plan_for = [&](size_t num_records) {
+    return shard_mode ? ShardPlan::Make(num_records,
+                                        pipeline_options.num_shards,
+                                        pipeline_options.shard_by)
+                      : ShardPlan::Bounded(
+                            num_records,
+                            pipeline_options.max_partition_records);
+  };
+  const ShardPlan s_plan = plan_for(context.s_records->size());
+  const ShardPlan t_plan = self ? s_plan : plan_for(context.t_records->size());
   std::vector<PartitionBlock> blocks =
       EnumerateBlocks(s_plan.num_shards(), t_plan.num_shards(), self);
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "index/csr_index.h"
+#include "util/parallel.h"
 
 namespace aujoin {
 namespace {
@@ -13,6 +14,22 @@ bool BetterMatch(const UnifiedSearcher::Match& a,
                  const UnifiedSearcher::Match& b) {
   if (a.similarity != b.similarity) return a.similarity > b.similarity;
   return a.id < b.id;
+}
+
+/// Sorts `matches` into the serving order, keeping only the first k
+/// when k > 0. A bounded partial sort for k << matches: BetterMatch is
+/// a strict total order (ids are distinct), so the k-prefix of a
+/// partial sort is byte-identical to the k-prefix of the full sort,
+/// including tie-breaks at the cut boundary.
+void RankMatches(size_t k, std::vector<UnifiedSearcher::Match>* matches) {
+  if (k > 0 && matches->size() > k) {
+    std::partial_sort(matches->begin(),
+                      matches->begin() + static_cast<ptrdiff_t>(k),
+                      matches->end(), BetterMatch);
+    matches->resize(k);
+  } else {
+    std::sort(matches->begin(), matches->end(), BetterMatch);
+  }
 }
 
 }  // namespace
@@ -88,7 +105,7 @@ std::vector<UnifiedSearcher::Match> UnifiedSearcher::Search(
     const Record& query, const SearchOptions& options,
     QueryStats* stats) const {
   std::vector<Match> matches = VerifyCandidates(query, options, stats);
-  std::sort(matches.begin(), matches.end(), BetterMatch);
+  RankMatches(0, &matches);
   return matches;
 }
 
@@ -103,19 +120,56 @@ std::vector<UnifiedSearcher::Match> UnifiedSearcher::TopK(
   SearchOptions opts = options;
   opts.theta = min_theta;
   std::vector<Match> matches = VerifyCandidates(query, opts, stats);
-  // Bounded sort for k << matches: BetterMatch is a strict total order
-  // (similarity desc, id asc — ids are distinct), so the k-prefix of a
-  // partial sort is byte-identical to the k-prefix of the full sort,
-  // including tie-breaks at the cut boundary.
-  if (matches.size() > k) {
-    std::partial_sort(matches.begin(),
-                      matches.begin() + static_cast<ptrdiff_t>(k),
-                      matches.end(), BetterMatch);
-    matches.resize(k);
-  } else {
-    std::sort(matches.begin(), matches.end(), BetterMatch);
-  }
+  RankMatches(k, &matches);
   return matches;
+}
+
+std::vector<UnifiedSearcher::Match> SearchSlices(
+    const std::vector<SearchSlice>& slices, const Record& query, size_t k,
+    const UnifiedSearcher::SearchOptions& options, int num_threads,
+    UnifiedSearcher::QueryStats* stats, double* index_seconds) {
+  using Match = UnifiedSearcher::Match;
+  const size_t n = slices.size();
+  std::vector<std::vector<Match>> per_slice(n);
+  std::vector<uint64_t> candidates(n, 0);
+  std::vector<double> froze(n, 0.0);
+  ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
+    for (size_t s = begin; s < end; ++s) {
+      const SearchSlice& slice = slices[s];
+      // Freeze the slice's CSR here, in the (possibly parallel) scatter,
+      // so its one-time cost is timed and charged to the call that paid
+      // it; ServingIndex assigns its out-parameter, hence the slot.
+      slice.index->ServingIndex(&froze[s]);
+      UnifiedSearcher searcher(slice.index);
+      UnifiedSearcher::QueryStats slice_stats;
+      std::vector<Match> matches =
+          k > 0 ? searcher.TopK(query, k, options.theta, options,
+                                &slice_stats)
+                : searcher.Search(query, options, &slice_stats);
+      for (Match& m : matches) m.id = slice.GlobalId(m.id);
+      candidates[s] = slice_stats.candidates;
+      per_slice[s] = std::move(matches);
+    }
+  });
+  if (stats != nullptr) {
+    ++stats->queries;
+    for (uint64_t c : candidates) stats->candidates += c;
+  }
+  if (index_seconds != nullptr) {
+    for (double seconds : froze) *index_seconds += seconds;
+  }
+  // Local-to-global maps are ascending, so one slice's list is already
+  // in serving order; several are concatenated and re-ranked.
+  if (n == 1) return std::move(per_slice[0]);
+  size_t total = 0;
+  for (const std::vector<Match>& matches : per_slice) total += matches.size();
+  std::vector<Match> merged;
+  merged.reserve(total);
+  for (const std::vector<Match>& matches : per_slice) {
+    merged.insert(merged.end(), matches.begin(), matches.end());
+  }
+  RankMatches(k, &merged);
+  return merged;
 }
 
 }  // namespace aujoin

@@ -109,6 +109,44 @@ class UnifiedSearcher {
   std::shared_ptr<const PreparedIndex> index_;
 };
 
+/// One slice of a served collection: a shared PreparedIndex whose T
+/// side holds local ids 0..n-1, plus the map from local to global ids.
+/// Every serving mode is a set of slices — the monolithic engine's one
+/// index, N shards, or append mode's frozen + staging generations — and
+/// SearchSlices below is the one scatter-gather over them.
+struct SearchSlice {
+  /// Must keep alive whatever the index borrows (an aliasing shared_ptr
+  /// can tie a generation's records to it).
+  std::shared_ptr<const PreparedIndex> index;
+  /// When set, local id i is global (*global_ids)[i]: an ascending list
+  /// owned by whoever pinned the slice (a hash shard's members).
+  const std::vector<uint32_t>* global_ids = nullptr;
+  /// Otherwise local id i is global offset + i.
+  uint32_t offset = 0;
+
+  uint32_t GlobalId(uint32_t local) const {
+    return global_ids != nullptr ? (*global_ids)[local] : offset + local;
+  }
+};
+
+/// Scatters `query` to every slice and merges the global-id matches
+/// under the serving order (similarity desc, id asc): the same result,
+/// similarities included, as one UnifiedSearcher over the union of the
+/// slices, because the signature filter is lossless per record pair and
+/// similarity is intrinsic to the (query, record) pair. k = 0 returns
+/// every match >= options.theta; k > 0 the k best of them (each slice
+/// cuts its own TopK at k, as the global k best lie within the union of
+/// those lists, and the merge cuts again). Slices are searched in
+/// parallel over `num_threads` (ResolveThreads semantics; pass 1 when
+/// the caller already parallelises). The query counts once in `stats`.
+/// `index_seconds` (when given) gains the one-time CSR-freeze seconds
+/// this call paid across the slices. Thread-safe.
+std::vector<UnifiedSearcher::Match> SearchSlices(
+    const std::vector<SearchSlice>& slices, const Record& query, size_t k,
+    const UnifiedSearcher::SearchOptions& options, int num_threads,
+    UnifiedSearcher::QueryStats* stats = nullptr,
+    double* index_seconds = nullptr);
+
 }  // namespace aujoin
 
 #endif  // AUJOIN_JOIN_SEARCH_H_

@@ -23,8 +23,9 @@ struct SignatureOptions {
   int tau = 1;
   FilterMethod method = FilterMethod::kAuDp;
   /// Use the exact DP minimum-partition lower bound MP(S) instead of the
-  /// paper's greedy + Johnson-bound estimate (both are valid lower bounds;
-  /// the exact one is tighter — see DESIGN.md).
+  /// paper's greedy + Johnson-bound estimate. Both are valid lower
+  /// bounds; the exact minimum is never below the estimate, so it is the
+  /// tighter of the two.
   bool exact_min_partition = true;
 };
 

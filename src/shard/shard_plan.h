@@ -1,13 +1,12 @@
 /// \file
-/// ShardPlan — the first-class sharding of a record collection. Where
-/// join/partition.h describes contiguous, size-bounded memory
-/// partitions private to one join call, a shard plan is an addressable
-/// split of the world: every record belongs to exactly one of N shards
-/// chosen by record range or by key hash, and the same plan drives the
-/// join pipeline's shard-pair blocks, the scatter-gather serving path
-/// (shard/sharded_index.h) and per-shard snapshot sections. The plan is
-/// a pure function of (num_records, num_shards, shard_by), so two
-/// processes configured alike agree on shard membership without any
+/// ShardPlan — the one way a record collection is split. Every record
+/// belongs to exactly one of N shards chosen by record range or by key
+/// hash, and the same plan drives the join pipeline's shard-pair blocks
+/// (both its shard mode and its size-bounded partition mode, which is
+/// just a range plan with as many shards as the bound requires), the
+/// scatter-gather serving path (shard/sharded_index.h) and per-shard
+/// snapshot sections. The plan is a pure function of its arguments, so
+/// two processes configured alike agree on shard membership without any
 /// coordination — the property a future process/host boundary needs.
 
 #ifndef AUJOIN_SHARD_SHARD_PLAN_H_
@@ -18,16 +17,13 @@
 #include <string>
 #include <vector>
 
-#include "join/partition.h"
-
 namespace aujoin {
 
 /// How records map to shards.
 enum class ShardBy : uint32_t {
   /// Balanced contiguous ranges (shard i holds ids [begin_i, end_i));
-  /// sizes differ by at most one. Preserves the stripe-streaming
-  /// property of partition plans: all ids of shard i precede shard
-  /// i + 1.
+  /// sizes differ by at most one. Keeps the join pipeline's stripe
+  /// streaming: all ids of shard i precede shard i + 1.
   kRange = 0,
   /// SplitMix64(id) % num_shards. Ids interleave across shards, which
   /// models hash-distributed placement; per-shard id lists stay sorted
@@ -61,12 +57,32 @@ struct ShardPlan {
   static ShardPlan Make(size_t num_records, size_t num_shards,
                         ShardBy shard_by);
 
-  /// Lifts a contiguous partition plan (join/partition.h) into shard
-  /// form, so the pipeline's size-bounded partitioned mode and the
-  /// first-class sharded mode share one block-enumeration path.
-  static ShardPlan FromPartitions(const PartitionPlan& plan,
-                                  size_t num_records);
+  /// The pipeline's partition mode: the fewest balanced range shards
+  /// of at most `max_records` records each, i.e. Make(num_records,
+  /// ceil(num_records / max_records), kRange). A zero bound, or one at
+  /// or above the collection size, gives one shard; an empty collection
+  /// gives none (there is nothing to partition, so no join blocks).
+  static ShardPlan Bounded(size_t num_records, size_t max_records);
 };
+
+/// One unit of pipeline work: the cross product of an S shard and a T
+/// shard (for self-joins, of two shards of the same plan).
+struct PartitionBlock {
+  uint32_t s_part = 0;
+  uint32_t t_part = 0;
+
+  /// Self-join block over one shard (s_part == t_part); cross blocks
+  /// keep only pairs straddling the two shards, which is what makes
+  /// shard-boundary dedup structural rather than hash-set based.
+  bool diagonal() const { return s_part == t_part; }
+};
+
+/// Enumerates the blocks covering every record pair exactly once, in
+/// stripe order (sorted by s_part, then t_part). Self-joins use the
+/// upper triangle s_part <= t_part of one plan; R-S joins use the full
+/// s_parts × t_parts grid.
+std::vector<PartitionBlock> EnumerateBlocks(size_t s_parts, size_t t_parts,
+                                            bool self_join);
 
 }  // namespace aujoin
 

@@ -1,6 +1,5 @@
 #include "shard/sharded_index.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "storage/snapshot_writer.h"
 #include "util/hash.h"
 #include "util/parallel.h"
-#include "util/timer.h"
 
 namespace aujoin {
 namespace {
@@ -26,29 +24,6 @@ uint64_t HashFullCollection(const std::vector<Record>& records) {
     h = HashCombine(h, HashTokenSpan(r.tokens.data(), r.tokens.size()));
   }
   return h;
-}
-
-/// Merges per-shard match lists (each sorted by similarity desc, local
-/// id asc, already mapped to global ids so the tie order is global)
-/// into one list under the serving order.
-std::vector<UnifiedSearcher::Match> MergeShardMatches(
-    std::vector<std::vector<UnifiedSearcher::Match>> per_shard) {
-  std::vector<UnifiedSearcher::Match> merged;
-  size_t total = 0;
-  for (const auto& m : per_shard) total += m.size();
-  merged.reserve(total);
-  for (auto& m : per_shard) {
-    merged.insert(merged.end(), m.begin(), m.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const UnifiedSearcher::Match& a,
-               const UnifiedSearcher::Match& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
-  return merged;
 }
 
 }  // namespace
@@ -80,110 +55,56 @@ ShardedIndex::~ShardedIndex() = default;
 size_t ShardedIndex::num_resident_shards() const {
   size_t resident = 0;
   for (const auto& shard : shards_) {
-    if (shard->ready.load(std::memory_order_acquire)) ++resident;
+    if (shard->index.resident()) ++resident;
   }
   return resident;
 }
 
 Result<std::shared_ptr<const PreparedIndex>> ShardedIndex::ShardIndex(
     size_t s, double* built_seconds) const {
-  Shard& shard = *shards_[s];
-  if (!shard.ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.index == nullptr) {
-      WallTimer timer;
-      if (shard.snapshot_path.empty()) {
-        shard.index = PreparedIndex::Build(knowledge_, msim_, shard.records,
-                                           nullptr);
-      } else {
-        Result<std::shared_ptr<const PreparedIndex>> loaded =
-            PreparedIndex::Load(knowledge_, msim_, shard.records, nullptr,
-                                shard.snapshot_path, env_);
-        if (!loaded.ok()) return loaded.status();
-        shard.index = std::move(*loaded);
-      }
-      if (built_seconds != nullptr) *built_seconds += timer.Seconds();
-    }
-    shard.ready.store(true, std::memory_order_release);
-  }
-  return shard.index;
+  const Shard& shard = *shards_[s];
+  return shard.index.Get(
+      [&]() -> Result<std::shared_ptr<const PreparedIndex>> {
+        if (shard.snapshot_path.empty()) {
+          return PreparedIndex::Build(knowledge_, msim_, shard.records,
+                                      nullptr);
+        }
+        return PreparedIndex::Load(knowledge_, msim_, shard.records, nullptr,
+                                   shard.snapshot_path, env_);
+      },
+      built_seconds);
 }
 
-Result<std::vector<ShardedIndex::Match>> ShardedIndex::Search(
-    const Record& query, const SearchOptions& options, int num_threads,
-    QueryStats* stats, double* built_seconds) const {
+Result<std::vector<SearchSlice>> ShardedIndex::Slices(
+    int num_threads, double* built_seconds) const {
   const size_t n = shards_.size();
-  std::vector<std::vector<Match>> per_shard(n);
-  std::vector<QueryStats> shard_stats(n);
-  std::vector<Status> shard_status(n, Status::OK());
-  std::vector<double> shard_built(n, 0.0);
-  ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
-    for (size_t s = begin; s < end; ++s) {
-      if (shards_[s]->records.empty()) continue;
-      Result<std::shared_ptr<const PreparedIndex>> index =
-          ShardIndex(s, &shard_built[s]);
-      if (!index.ok()) {
-        shard_status[s] = index.status();
-        continue;
+  // Empty shards hold nothing to match; they are never built or pinned.
+  auto wanted = [&](size_t s) { return !shards_[s]->records.empty(); };
+  std::vector<Status> status(n, Status::OK());
+  std::vector<double> built(n, 0.0);
+  bool cold = false;
+  for (size_t s = 0; s < n && !cold; ++s) {
+    cold = wanted(s) && !shards_[s]->index.resident();
+  }
+  if (cold) {
+    ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
+      for (size_t s = begin; s < end; ++s) {
+        if (wanted(s)) status[s] = ShardIndex(s, &built[s]).status();
       }
-      UnifiedSearcher searcher(*index);
-      std::vector<Match> matches =
-          searcher.Search(query, options, &shard_stats[s]);
-      const std::vector<uint32_t>& ids = shards_[s]->global_ids;
-      for (Match& m : matches) m.id = ids[m.id];
-      per_shard[s] = std::move(matches);
-    }
-  });
+    });
+  }
+  std::vector<SearchSlice> slices;
+  slices.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    if (!shard_status[s].ok()) return shard_status[s];
-    if (built_seconds != nullptr) *built_seconds += shard_built[s];
-    if (stats != nullptr) stats->candidates += shard_stats[s].candidates;
+    if (!status[s].ok()) return status[s];
+    if (built_seconds != nullptr) *built_seconds += built[s];
+    if (!wanted(s)) continue;
+    // Resident now, so this is a lock-free read.
+    Result<std::shared_ptr<const PreparedIndex>> index = ShardIndex(s);
+    if (!index.ok()) return index.status();
+    slices.push_back(SearchSlice{*index, &shards_[s]->global_ids, 0});
   }
-  if (stats != nullptr) ++stats->queries;
-  return MergeShardMatches(std::move(per_shard));
-}
-
-Result<std::vector<ShardedIndex::Match>> ShardedIndex::TopK(
-    const Record& query, size_t k, double min_theta,
-    const SearchOptions& options, int num_threads, QueryStats* stats,
-    double* built_seconds) const {
-  if (k == 0) {
-    if (stats != nullptr) ++stats->queries;
-    return std::vector<Match>{};
-  }
-  const size_t n = shards_.size();
-  std::vector<std::vector<Match>> per_shard(n);
-  std::vector<QueryStats> shard_stats(n);
-  std::vector<Status> shard_status(n, Status::OK());
-  std::vector<double> shard_built(n, 0.0);
-  ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
-    for (size_t s = begin; s < end; ++s) {
-      if (shards_[s]->records.empty()) continue;
-      Result<std::shared_ptr<const PreparedIndex>> index =
-          ShardIndex(s, &shard_built[s]);
-      if (!index.ok()) {
-        shard_status[s] = index.status();
-        continue;
-      }
-      UnifiedSearcher searcher(*index);
-      // Each shard returns its own k best; the global k best is a
-      // subset of the union of those lists.
-      std::vector<Match> matches =
-          searcher.TopK(query, k, min_theta, options, &shard_stats[s]);
-      const std::vector<uint32_t>& ids = shards_[s]->global_ids;
-      for (Match& m : matches) m.id = ids[m.id];
-      per_shard[s] = std::move(matches);
-    }
-  });
-  for (size_t s = 0; s < n; ++s) {
-    if (!shard_status[s].ok()) return shard_status[s];
-    if (built_seconds != nullptr) *built_seconds += shard_built[s];
-    if (stats != nullptr) stats->candidates += shard_stats[s].candidates;
-  }
-  if (stats != nullptr) ++stats->queries;
-  std::vector<Match> merged = MergeShardMatches(std::move(per_shard));
-  if (merged.size() > k) merged.resize(k);
-  return merged;
+  return slices;
 }
 
 std::string ShardedIndex::ShardFileName(const std::string& path, size_t s) {

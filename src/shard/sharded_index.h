@@ -1,29 +1,24 @@
 /// \file
-/// ShardedIndex — scatter-gather serving over first-class shards. The
-/// collection is split by a ShardPlan; each shard owns its record
-/// slice (ids renumbered locally) and an immutable PreparedIndex over
-/// it, built lazily on first probe or mounted lazily from its own
-/// snapshot file. A query scatters to every shard's UnifiedSearcher
-/// and the per-shard ranked lists are merged under the serving order
-/// (similarity desc, global id asc) — byte-identical to one monolithic
-/// searcher over the whole collection, because the signature filter is
-/// lossless per record pair and similarity is intrinsic to the
-/// (query, record) pair, so searching disjoint sub-collections and
-/// merging equals searching the union (the same argument
-/// GenerationalIndex relies on for frozen + staging).
+/// ShardedIndex — first-class shards for serving. The collection is
+/// split by a ShardPlan; each shard owns its records (ids renumbered
+/// locally), its local→global id list and an immutable PreparedIndex
+/// over them, built lazily on first probe or mounted lazily from its
+/// own snapshot file. Slices() pins the shards as SearchSlices, and
+/// SearchSlices (join/search.h) scatters a query over them and merges
+/// under the serving order — the same scatter-gather the monolithic
+/// and append serving paths use, and byte-identical to one monolithic
+/// searcher over the whole collection.
 ///
 /// Thread-safety: after construction every const method is safe to
-/// call concurrently. Each shard's index is built (or loaded) under a
-/// per-shard mutex with a release/acquire ready flag, so concurrent
-/// first probes block only on that one shard, never on each other.
+/// call concurrently. Each shard's index is published through its own
+/// LazyShared, so concurrent first probes block only on that one shard,
+/// never on each other.
 
 #ifndef AUJOIN_SHARD_SHARDED_INDEX_H_
 #define AUJOIN_SHARD_SHARDED_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,6 +28,7 @@
 #include "index/prepared_index.h"
 #include "join/search.h"
 #include "shard/shard_plan.h"
+#include "util/lazy_shared.h"
 #include "util/status.h"
 
 namespace aujoin {
@@ -41,10 +37,6 @@ class Env;
 
 class ShardedIndex {
  public:
-  using Match = UnifiedSearcher::Match;
-  using SearchOptions = UnifiedSearcher::SearchOptions;
-  using QueryStats = UnifiedSearcher::QueryStats;
-
   /// Splits `records` under `plan` (each shard copies its slice with
   /// ids renumbered 0..n-1, so the index owns everything it serves).
   /// Shard indexes are built lazily; nothing heavy happens here.
@@ -56,46 +48,24 @@ class ShardedIndex {
   ShardedIndex& operator=(const ShardedIndex&) = delete;
 
   size_t num_shards() const { return shards_.size(); }
-  size_t num_records() const { return num_records_; }
-  ShardBy shard_by() const { return shard_by_; }
   /// Shards whose index is currently resident (built or mounted) — lets
   /// tests assert that mounting one shard leaves the rest untouched.
   size_t num_resident_shards() const;
 
-  /// Every record with Approx USIM >= theta across all shards, merged
-  /// under the serving order (similarity desc, global id asc). Shards
-  /// are probed in parallel (`num_threads`, ResolveThreads semantics;
-  /// pass 1 when the caller already parallelises, e.g. over a query
-  /// batch). `built_seconds` (when given) accumulates the one-time
-  /// index build/load cost THIS call paid, charged exactly once across
-  /// concurrent callers. Fails only when a lazy snapshot mount fails.
-  Result<std::vector<Match>> Search(const Record& query,
-                                    const SearchOptions& options,
-                                    int num_threads,
-                                    QueryStats* stats = nullptr,
-                                    double* built_seconds = nullptr) const;
-
-  /// The k best matches with similarity >= min_theta under the serving
-  /// order — byte-identical to the k-prefix of Search (each shard
-  /// returns its own top k; the global top k is a subset of their
-  /// union).
-  Result<std::vector<Match>> TopK(const Record& query, size_t k,
-                                  double min_theta,
-                                  const SearchOptions& options,
-                                  int num_threads,
-                                  QueryStats* stats = nullptr,
-                                  double* built_seconds = nullptr) const;
+  /// Pins every non-empty shard as a SearchSlice (its index plus its
+  /// local→global id list, which lives as long as this object). Shards
+  /// not yet resident are built or mounted first, in parallel over
+  /// `num_threads` (ResolveThreads semantics); `built_seconds` (when
+  /// given) gains the build/mount seconds THIS call paid, charged once
+  /// across concurrent callers. Fails when a lazy snapshot mount fails;
+  /// that shard stays unpublished, so the next call retries it.
+  Result<std::vector<SearchSlice>> Slices(
+      int num_threads, double* built_seconds = nullptr) const;
 
   /// Shard `s`'s prepared index, building it from the shard's records
   /// (or mounting its snapshot file) on first use. Thread-safe.
   Result<std::shared_ptr<const PreparedIndex>> ShardIndex(
       size_t s, double* built_seconds = nullptr) const;
-
-  /// The global record ids of shard `s`, ascending (local id i of the
-  /// shard's slice is global shard_global_ids(s)[i]).
-  const std::vector<uint32_t>& shard_global_ids(size_t s) const {
-    return shards_[s]->global_ids;
-  }
 
   /// Saves every shard's index as its own snapshot file
   /// (`<path>.shard-<s>`, forcing lazy builds first) and then commits
@@ -121,18 +91,14 @@ class ShardedIndex {
   static std::string ShardFileName(const std::string& path, size_t s);
 
  private:
-  /// One shard: the owned record slice (local ids), its global id map,
-  /// and the lazily built/mounted immutable index behind a
-  /// release/acquire flag (the Engine's LazyIndexState pattern,
-  /// per shard).
+  /// One shard: the owned records (local ids), its global id map, and
+  /// the lazily built/mounted immutable index.
   struct Shard {
     std::vector<Record> records;
     std::vector<uint32_t> global_ids;
     /// Non-empty = mount from this snapshot file instead of building.
     std::string snapshot_path;
-    mutable std::mutex mutex;
-    mutable std::atomic<bool> ready{false};
-    mutable std::shared_ptr<const PreparedIndex> index;
+    LazyShared<PreparedIndex> index;
   };
 
   Knowledge knowledge_;

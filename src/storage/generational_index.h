@@ -4,16 +4,16 @@
 /// PreparedIndex (pebbles + global order + CSR serving index) over
 /// every compacted record; appended records land in a small mutable
 /// staging buffer that is prepared lazily as its own mini index.
-/// Queries probe both generations and merge the results under the
-/// serving order (similarity desc, id asc) — correct because the
-/// signature filter is lossless per record pair, so searching two
-/// disjoint sub-collections equals searching their union. Refreeze
+/// Slices() pins both generations as SearchSlices (staging ids offset by
+/// the frozen record count), and SearchSlices (join/search.h) scatters a
+/// query over them and merges under the serving order — the same
+/// scatter-gather the monolithic and sharded serving paths use. Refreeze
 /// compacts frozen + staging into a new immutable generation built
 /// off-lock and swapped in atomically via shared_ptr, exactly the
 /// memtable-flush / SST-compaction split of an LSM tree.
 ///
-/// Thread-safety: Append/Search/TopK/BatchSearch/Refreeze may all be
-/// called concurrently. A query takes the mutex only long enough to
+/// Thread-safety: Append/Slices/Search/TopK/Refreeze may all be called
+/// concurrently. A query takes the mutex only long enough to
 /// pin both generation pointers (building the staging mini index on
 /// first use after an append); verification runs lock-free on the
 /// pinned immutable snapshots. Refreeze runs the expensive rebuild
@@ -95,6 +95,15 @@ class GenerationalIndex {
   /// never collide.
   uint32_t Append(Record record);
 
+  /// Pins the current generations as slices: the frozen one (global
+  /// ids = local ids) and, when records are staged, the staging one
+  /// (offset by the frozen record count), building the staging mini
+  /// index first if an append invalidated it. Each slice keeps its whole
+  /// generation alive, so a concurrent Refreeze never frees records
+  /// under a query. `built_seconds` (when given) gains the staging
+  /// build's seconds if this call paid it.
+  std::vector<SearchSlice> Slices(double* built_seconds = nullptr) const;
+
   /// All records (frozen + staging) with Approx USIM >= theta, merged
   /// under the serving order (similarity desc, global id asc) — the
   /// same contract as UnifiedSearcher::Search over the union
@@ -107,11 +116,6 @@ class GenerationalIndex {
   std::vector<Match> TopK(const Record& query, size_t k, double min_theta,
                           const SearchOptions& options,
                           QueryStats* stats = nullptr) const;
-
-  /// Search for each query in order; stats accumulate across the batch.
-  std::vector<std::vector<Match>> BatchSearch(
-      const std::vector<Record>& queries, const SearchOptions& options,
-      QueryStats* stats = nullptr) const;
 
   /// Compacts frozen + staging into a new frozen generation. The
   /// rebuild runs outside the serving mutex (queries and appends
@@ -148,22 +152,9 @@ class GenerationalIndex {
     std::shared_ptr<const PreparedIndex> index;
   };
 
-  /// Pins (frozen, staging) under the mutex; builds the staging mini
-  /// index first if an append invalidated it. The staging entry is
-  /// null when the staging buffer is empty.
-  void Pin(std::shared_ptr<const Generation>* frozen,
-           std::shared_ptr<const Generation>* staging) const;
-
   static std::shared_ptr<const Generation> BuildGeneration(
       const Knowledge& knowledge, const MsimOptions& msim,
       std::vector<Record> records);
-
-  /// Merges two per-generation result lists (already sorted by the
-  /// serving order) into one, offsetting staging ids by the frozen
-  /// record count.
-  static std::vector<Match> MergeMatches(std::vector<Match> frozen,
-                                         std::vector<Match> staging,
-                                         uint32_t staging_offset);
 
   Knowledge knowledge_;
   MsimOptions msim_;

@@ -27,7 +27,6 @@
 #include "datagen/corpus_gen.h"
 #include "datagen/synonym_gen.h"
 #include "datagen/taxonomy_gen.h"
-#include "join/partition.h"
 #include "shard/shard_plan.h"
 #include "shard/sharded_index.h"
 #include "storage/env.h"
@@ -132,16 +131,18 @@ TEST(ShardPlanTest, SingleShardIsContiguousUnderBothSchemes) {
   }
 }
 
-TEST(ShardPlanTest, FromPartitionsLiftsThePartitionPlan) {
-  PartitionPlan partitions = PartitionPlan::Shard(10, 4);
-  ShardPlan plan = ShardPlan::FromPartitions(partitions, 10);
-  EXPECT_TRUE(plan.contiguous);
-  ASSERT_EQ(plan.num_shards(), partitions.num_partitions());
-  for (size_t p = 0; p < partitions.num_partitions(); ++p) {
-    const Partition& part = partitions.partitions[p];
-    ASSERT_EQ(plan.shard_ids[p].size(), part.size());
-    EXPECT_EQ(plan.shard_ids[p].front(), part.begin);
-    EXPECT_EQ(plan.shard_ids[p].back(), part.end - 1);
+TEST(ShardPlanTest, BoundedPlanIsTheBalancedRangePlan) {
+  // Partition mode's bounded plan is Make(n, ceil(n / max), kRange).
+  ShardPlan bounded = ShardPlan::Bounded(10, 4);
+  ShardPlan range = ShardPlan::Make(10, 3, ShardBy::kRange);
+  EXPECT_TRUE(bounded.contiguous);
+  EXPECT_EQ(bounded.shard_by, ShardBy::kRange);
+  EXPECT_EQ(bounded.num_records, 10u);
+  ASSERT_EQ(bounded.num_shards(), 3u);
+  EXPECT_EQ(bounded.shard_ids, range.shard_ids);
+  for (const std::vector<uint32_t>& ids : bounded.shard_ids) {
+    EXPECT_LE(ids.size(), 4u);
+    EXPECT_EQ(ids.back() - ids.front() + 1, ids.size());
   }
 }
 
@@ -451,6 +452,27 @@ TEST_F(ShardServingTest, BatchSearchMatchesMonolithic) {
       EXPECT_EQ(stats.results, mono_stats.results);
     }
   }
+}
+
+TEST_F(ShardServingTest, EnableAppendRefusesAShardedEngine) {
+  // Append mode serves one growing collection; a sharded engine must
+  // say so instead of silently serving unsharded.
+  const std::string wal_path = TempPath("sharded_append.wal");
+  Engine sharded = MakeEngine(4);
+  Status enabled = sharded.EnableAppend(
+      wal_path, [this](const std::string& text) {
+        return world_.MakeRec(0, text);
+      });
+  ASSERT_FALSE(enabled.ok());
+  EXPECT_EQ(enabled.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(sharded.append_mode());
+  EXPECT_FALSE(Env::Default()->FileExists(wal_path)) << "no WAL was opened";
+
+  // The engine keeps serving sharded.
+  SearchStats stats;
+  ASSERT_OK(sharded.Search(records_[0], EngineSearchOptions{}, &stats)
+                .status());
+  EXPECT_EQ(stats.shards, 4u);
 }
 
 // ------------------------------------------------ per-shard snapshots

@@ -80,8 +80,10 @@ class SnapshotRoundTripTest : public ::testing::TestWithParam<const char*> {
     Result<Dataset> loaded = LoadDataset(spec);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     dataset_ = std::make_unique<Dataset>(std::move(*loaded));
-    path_ = ::testing::TempDir() + "aujoin_roundtrip_" + GetParam() +
-            ".aujsnap";
+    // Per-process suffix: ctest runs every case as its own process, and
+    // concurrent cases of one parameter would otherwise share the file.
+    path_ = ::testing::TempDir() + "aujoin_roundtrip_" + GetParam() + "." +
+            std::to_string(::getpid()) + ".aujsnap";
   }
 
   void TearDown() override { std::remove(path_.c_str()); }

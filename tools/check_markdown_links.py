@@ -14,11 +14,18 @@ each target that does not resolve:
 External links (http/https/mailto) are skipped — this is an offline
 structural check, not a crawler.
 
+It also scans the comments of the source files under src/, bench/ and
+tools/ (C++ `//` and `/* */` comments, Python `#` comments) for
+markdown file names such as `docs/cli.md`, and fails on each name that
+matches no tracked file: a comment must not send the reader to a
+document the repo does not have.
+
 Usage: python3 tools/check_markdown_links.py [root_dir]
 """
 
 import os
 import re
+import subprocess
 import sys
 
 # Inline [text](target) — target ends at the first unescaped ')' or
@@ -56,6 +63,58 @@ def heading_anchors(markdown_text):
         counts[slug] = n + 1
         anchors.add(slug if n == 0 else f"{slug}-{n}")
     return anchors
+
+
+# Markdown names cited in source comments: a path-like token ending in
+# ".md" (a bare "*.md" glob does not count).
+MD_NAME = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+CPP_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+PY_COMMENT = re.compile(r"#[^\n]*")
+SOURCE_DIRS = ("src", "bench", "tools")
+COMMENT_SYNTAX = {".h": CPP_COMMENT, ".cc": CPP_COMMENT,
+                  ".cpp": CPP_COMMENT, ".py": PY_COMMENT}
+
+
+def tracked_files(root):
+    """Repo-relative paths git tracks; every file on disk without git."""
+    try:
+        listed = subprocess.run(
+            ["git", "-C", root, "ls-files"], check=True,
+            capture_output=True, text=True).stdout.split("\n")
+        return {path for path in listed if path}
+    except (OSError, subprocess.CalledProcessError):
+        found = set()
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = [d for d in dirnames if d != ".git"]
+            for name in filenames:
+                found.add(os.path.relpath(os.path.join(dirpath, name), root))
+        return found
+
+
+def dangling_doc_names(root, tracked):
+    """(source path, name) for each comment-cited .md that is not tracked."""
+    known = set()
+    for path in tracked:
+        parts = path.split("/")
+        # A citation may name the file with any trailing part of its path.
+        for i in range(len(parts)):
+            known.add("/".join(parts[i:]))
+    dangling = []
+    for path in sorted(tracked):
+        if path.split("/")[0] not in SOURCE_DIRS:
+            continue
+        syntax = COMMENT_SYNTAX.get(os.path.splitext(path)[1])
+        if syntax is None:
+            continue
+        with open(os.path.join(root, path), encoding="utf-8") as handle:
+            text = handle.read()
+        for comment in syntax.findall(text):
+            for name in MD_NAME.findall(comment):
+                parts = os.path.normpath(name).split("/")
+                normalized = "/".join(p for p in parts if p not in (".", ".."))
+                if normalized not in known:
+                    dangling.append((path, name))
+    return dangling
 
 
 def markdown_files(root):
@@ -116,7 +175,12 @@ def main():
             failures += 1
     print(f"checked {checked} markdown files: "
           f"{failures} broken link(s)/anchor(s)")
-    return 1 if failures else 0
+    dangling = dangling_doc_names(root, tracked_files(root))
+    for path, name in dangling:
+        print(f"DANGLING {path}: cites {name}, which is not a tracked file")
+    print(f"checked source comments under {', '.join(SOURCE_DIRS)}: "
+          f"{len(dangling)} dangling .md reference(s)")
+    return 1 if failures or dangling else 0
 
 
 if __name__ == "__main__":
