@@ -120,6 +120,9 @@ class UnifiedAlgorithm final : public JoinAlgorithm {
       stats->verify_seconds += batch_timer.Seconds();
       if (!EmitPairs(verified, sink, stats)) break;
     }
+    for (const auto& computer : computers) {
+      stats->bound_rejected += computer->bound_rejected();
+    }
     return Status::OK();
   }
 };

@@ -405,6 +405,7 @@ void AddSearchStats(const SearchStats& call, SearchStats* stats) {
   if (stats == nullptr) return;
   stats->queries += call.queries;
   stats->query_candidates += call.query_candidates;
+  stats->bound_rejected += call.bound_rejected;
   stats->results += call.results;
   stats->index_seconds += call.index_seconds;
   stats->search_seconds += call.search_seconds;
@@ -453,6 +454,7 @@ Result<std::vector<UnifiedSearcher::Match>> Engine::Search(
                    view->scatter_threads, &query_stats, &call.index_seconds);
   call.queries = query_stats.queries;
   call.query_candidates = query_stats.candidates;
+  call.bound_rejected = query_stats.bound_rejected;
   call.results = matches.size();
   call.search_seconds = wall.Seconds();
   AddSearchStats(call, stats);
@@ -548,6 +550,7 @@ Status Engine::BatchSearch(
   for (int w = 0; w < workers; ++w) {
     call.queries += worker_stats[w].queries;
     call.query_candidates += worker_stats[w].candidates;
+    call.bound_rejected += worker_stats[w].bound_rejected;
     call.index_seconds += worker_froze[w];
   }
   call.results = emitted;

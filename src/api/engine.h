@@ -115,6 +115,9 @@ struct SearchStats {
   uint64_t queries = 0;
   /// Candidate records that survived the signature filter (verified).
   uint64_t query_candidates = 0;
+  /// Of those, candidates rejected from the USIM upper bound alone (no
+  /// pair graph built; see core/usim.h).
+  uint64_t bound_rejected = 0;
   /// Matches returned to the caller. On the streaming overloads (sink
   /// or callback) this counts matches actually emitted — a consumer
   /// that stops early caps it, including the match it declined.

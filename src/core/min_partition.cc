@@ -1,4 +1,4 @@
-#include "join/min_partition.h"
+#include "core/min_partition.h"
 
 #include <algorithm>
 #include <cmath>

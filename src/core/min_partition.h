@@ -1,5 +1,5 @@
-#ifndef AUJOIN_JOIN_MIN_PARTITION_H_
-#define AUJOIN_JOIN_MIN_PARTITION_H_
+#ifndef AUJOIN_CORE_MIN_PARTITION_H_
+#define AUJOIN_CORE_MIN_PARTITION_H_
 
 #include <cstddef>
 #include <vector>
@@ -21,10 +21,11 @@ int GreedyMinPartitionSize(const std::vector<WellDefinedSegment>& segments,
 /// minimum exact cover is a shortest-path DP over token positions —
 /// polynomial, and a tighter (hence more pruning-effective) lower bound
 /// than the greedy estimate. Used by default; the greedy variant is kept
-/// for paper fidelity and as an ablation.
+/// for paper fidelity and as an ablation. Also the denominators of the
+/// USIM upper bound (core/usim.h).
 int ExactMinPartitionSize(const std::vector<WellDefinedSegment>& segments,
                           size_t num_tokens);
 
 }  // namespace aujoin
 
-#endif  // AUJOIN_JOIN_MIN_PARTITION_H_
+#endif  // AUJOIN_CORE_MIN_PARTITION_H_

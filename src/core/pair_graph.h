@@ -26,6 +26,12 @@ struct PairVertex {
 struct PairGraph {
   std::vector<WellDefinedSegment> s_segments;
   std::vector<WellDefinedSegment> t_segments;
+  /// The per-pair msim matrix, row-major over every segment pair:
+  /// msim[i * t_segments.size() + j] = msim(s_segments[i], t_segments[j]),
+  /// the exact doubles MsimEvaluator::Msim returns. Filled once per record
+  /// pair; vertex weights, the USIM upper bound and every partition score
+  /// read it, so no segment pair is evaluated twice.
+  std::vector<double> msim;
   std::vector<PairVertex> vertices;
   /// Adjacency lists over vertex indexes (conflict edges).
   std::vector<std::vector<uint32_t>> adj;
@@ -41,6 +47,10 @@ struct PairGraph {
   bool truncated = false;
 
   size_t num_vertices() const { return vertices.size(); }
+
+  double Msim(uint32_t s_segment, uint32_t t_segment) const {
+    return msim[s_segment * t_segments.size() + t_segment];
+  }
 
   void SyncWeightArrays() {
     weights.resize(vertices.size());
@@ -77,10 +87,20 @@ struct PairGraphOptions {
   double min_weight = 1e-12;
 };
 
-/// Builds the conflict graph of the paper's Section 2.3 construction:
-/// a vertex for every segment pair connected by (a) a synonym rule,
-/// (b) two taxonomy entities, or (c) both being single tokens; weight
-/// msim; edges between conflicting (token-sharing) vertices.
+/// Enumerates both records' well-defined segments and fills the dense
+/// msim matrix; the returned graph has no vertices yet.
+PairGraph BuildSegmentMatrix(const Record& s, const Record& t,
+                             MsimEvaluator* evaluator);
+
+/// Adds the vertices and conflict edges of the paper's Section 2.3
+/// construction to a graph from BuildSegmentMatrix: a vertex for every
+/// segment pair connected by (a) a synonym rule, (b) two taxonomy
+/// entities, or (c) both being single tokens, weighted by its matrix
+/// entry; edges between conflicting (token-sharing) vertices.
+void AddPairVertices(const MsimEvaluator& evaluator,
+                     const PairGraphOptions& options, PairGraph* g);
+
+/// BuildSegmentMatrix followed by AddPairVertices.
 PairGraph BuildPairGraph(const Record& s, const Record& t,
                          MsimEvaluator* evaluator,
                          const PairGraphOptions& options = {});

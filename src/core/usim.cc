@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/hungarian.h"
+#include "core/min_partition.h"
 #include "kernels/kernels.h"
 
 namespace aujoin {
@@ -38,24 +39,75 @@ std::vector<uint32_t> InducedPartition(
   return partition;
 }
 
+/// Rounding slack of the bound test: the bound and the Hungarian sum add
+/// the same msim values in different orders.
+constexpr double kBoundSlack = 1e-9;
+
+/// One side of the upper bound: the maximum over well-defined partitions
+/// P of the side's tokens of sum_{i in P} best[i] / max(|P|, other_min),
+/// where best[i] is segment i's largest msim against any segment of the
+/// other record. dp[p * (n + 1) + c] is the largest sum of best over the
+/// ways to cover tokens [0, p) with c segments (-1 when there is none;
+/// sums are >= 0).
+double SideBound(const std::vector<WellDefinedSegment>& segments, size_t n,
+                 const std::vector<double>& best, int other_min) {
+  const size_t stride = n + 1;
+  std::vector<double> dp(stride * stride, -1.0);
+  dp[0] = 0.0;
+  // Segments are sorted by (begin, end), so every way to cover [0, begin)
+  // is final before the first segment starting at begin extends it.
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const Segment& span = segments[i].span;
+    const double* from = &dp[span.begin * stride];
+    double* to = &dp[span.end * stride];
+    for (size_t c = 0; c <= span.begin; ++c) {
+      if (from[c] >= 0.0) to[c + 1] = std::max(to[c + 1], from[c] + best[i]);
+    }
+  }
+  double bound = 0.0;
+  const double* full = &dp[n * stride];
+  for (size_t c = 1; c <= n; ++c) {
+    if (full[c] < 0.0) continue;
+    const size_t size = std::max(c, static_cast<size_t>(other_min));
+    bound = std::max(bound, full[c] / static_cast<double>(size));
+  }
+  return bound;
+}
+
+/// min(B_S, B_T) over g's msim matrix (see UsimComputer in usim.h).
+double MatrixUpperBound(const PairGraph& g, size_t s_tokens,
+                        size_t t_tokens) {
+  const size_t rows = g.s_segments.size();
+  const size_t cols = g.t_segments.size();
+  std::vector<double> row(rows, 0.0), col(cols, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      const double m = g.msim[i * cols + j];
+      row[i] = std::max(row[i], m);
+      col[j] = std::max(col[j], m);
+    }
+  }
+  const int s_min = ExactMinPartitionSize(g.s_segments, s_tokens);
+  const int t_min = ExactMinPartitionSize(g.t_segments, t_tokens);
+  return std::min(SideBound(g.s_segments, s_tokens, row, t_min),
+                  SideBound(g.t_segments, t_tokens, col, s_min));
+}
+
 }  // namespace
 
-double UsimComputer::SimOfPartitions(
-    const Record& s, const Record& t,
-    const std::vector<WellDefinedSegment>& s_segments,
-    const std::vector<WellDefinedSegment>& t_segments,
-    const std::vector<uint32_t>& ps, const std::vector<uint32_t>& pt) {
+double UsimComputer::SimOfPartitions(const PairGraph& g,
+                                     const std::vector<uint32_t>& ps,
+                                     const std::vector<uint32_t>& pt) {
   if (ps.empty() || pt.empty()) return 0.0;
-  // The O(|ps|·|pt|) msim matrix lands in the computer's reused flat
-  // scratch (row-major) and feeds the flat Hungarian overload — no
-  // per-pair matrix allocation on the verify hot path.
+  // The O(|ps|·|pt|) Hungarian input is gathered from the pair's msim
+  // matrix into the computer's reused flat scratch (row-major) — no
+  // msim evaluation and no per-pair allocation on the verify hot path.
   if (w_scratch_.size() < ps.size() * pt.size()) {
     w_scratch_.resize(ps.size() * pt.size());
   }
   for (size_t i = 0; i < ps.size(); ++i) {
     for (size_t j = 0; j < pt.size(); ++j) {
-      w_scratch_[i * pt.size() + j] =
-          evaluator_.Msim(s, s_segments[ps[i]], t, t_segments[pt[j]]);
+      w_scratch_[i * pt.size() + j] = g.Msim(ps[i], pt[j]);
     }
   }
   double matching =
@@ -75,13 +127,27 @@ double UsimComputer::GetSim(const Record& s, const Record& t,
       InducedPartition(g.s_segments, s.num_tokens(), s_selected);
   std::vector<uint32_t> pt =
       InducedPartition(g.t_segments, t.num_tokens(), t_selected);
-  return SimOfPartitions(s, t, g.s_segments, g.t_segments, ps, pt);
+  return SimOfPartitions(g, ps, pt);
+}
+
+double UsimComputer::UpperBound(const Record& s, const Record& t) {
+  if (s.tokens.empty() || t.tokens.empty()) return 0.0;
+  PairGraph g = BuildSegmentMatrix(s, t, &evaluator_);
+  return MatrixUpperBound(g, s.num_tokens(), t.num_tokens());
 }
 
 double UsimComputer::Approx(const Record& s, const Record& t,
-                            double early_exit_threshold) {
+                            double early_exit_threshold, double reject_below) {
   if (s.tokens.empty() || t.tokens.empty()) return 0.0;
-  PairGraph g = BuildPairGraph(s, t, &evaluator_, options_.graph);
+  PairGraph g = BuildSegmentMatrix(s, t, &evaluator_);
+  if (reject_below > 0.0) {
+    const double bound = MatrixUpperBound(g, s.num_tokens(), t.num_tokens());
+    if (bound < reject_below - kBoundSlack) {
+      ++bound_rejected_;
+      return 0.0;
+    }
+  }
+  AddPairVertices(evaluator_, options_.graph, &g);
   std::vector<uint32_t> a = SquareImp(g, options_.squareimp);
   double best = GetSim(s, t, g, a);
   if (!options_.enable_improvement || best >= early_exit_threshold) {
@@ -228,15 +294,13 @@ UsimComputer::ExactResult UsimComputer::Exact(const Record& s, const Record& t,
                                               const ExactOptions& limits) {
   ExactResult res;
   if (s.tokens.empty() || t.tokens.empty()) return res;
-  const Knowledge& knowledge = evaluator_.knowledge();
-  std::vector<WellDefinedSegment> s_segments = EnumerateSegments(s, knowledge);
-  std::vector<WellDefinedSegment> t_segments = EnumerateSegments(t, knowledge);
+  PairGraph g = BuildSegmentMatrix(s, t, &evaluator_);
 
   bool trunc_s = false, trunc_t = false;
-  auto ps_all = EnumeratePartitions(s_segments, s.num_tokens(),
+  auto ps_all = EnumeratePartitions(g.s_segments, s.num_tokens(),
                                     limits.max_partitions_per_string,
                                     &trunc_s);
-  auto pt_all = EnumeratePartitions(t_segments, t.num_tokens(),
+  auto pt_all = EnumeratePartitions(g.t_segments, t.num_tokens(),
                                     limits.max_partitions_per_string,
                                     &trunc_t);
   res.exact = !(trunc_s || trunc_t);
@@ -248,7 +312,7 @@ UsimComputer::ExactResult UsimComputer::Exact(const Record& s, const Record& t,
         res.exact = false;
         return res;
       }
-      double sim = SimOfPartitions(s, t, s_segments, t_segments, ps, pt);
+      double sim = SimOfPartitions(g, ps, pt);
       res.value = std::max(res.value, sim);
     }
   }

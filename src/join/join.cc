@@ -179,6 +179,7 @@ void VerifyCandidates(
   const int workers = ResolveThreads(options.num_threads);
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> worker_pairs(
       workers);
+  std::vector<uint64_t> worker_rejected(workers, 0);
   ParallelFor(
       candidates.size(), options.num_threads,
       [&](size_t begin, size_t end, int worker) {
@@ -199,10 +200,12 @@ void VerifyCandidates(
             worker_pairs[worker].emplace_back(si, ti);
           }
         }
+        worker_rejected[worker] += computer.bound_rejected();
       });
   for (int w = 0; w < workers; ++w) {
     result->pairs.insert(result->pairs.end(), worker_pairs[w].begin(),
                          worker_pairs[w].end());
+    result->stats.bound_rejected += worker_rejected[w];
   }
   // Deterministic output regardless of the worker split.
   std::sort(result->pairs.begin(), result->pairs.end());

@@ -42,6 +42,10 @@ struct JoinStats {
   uint64_t processed_pairs = 0;
   uint64_t candidates = 0;
   uint64_t results = 0;
+  /// Candidates the verify stage rejected from the USIM upper bound alone,
+  /// without building a pair graph (summed over the per-worker
+  /// UsimComputers; see core/usim.h).
+  uint64_t bound_rejected = 0;
   double avg_signature_pebbles = 0.0;
   /// Partitioned-pipeline shape: how many partitions the bound
   /// collection(s) were sharded into and how many partition-pair (or

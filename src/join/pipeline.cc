@@ -295,6 +295,7 @@ Status RunPartitionedJoin(const AlgorithmFactory& factory,
       stats->verify_seconds += r.stats.verify_seconds;
       stats->processed_pairs += r.stats.processed_pairs;
       stats->candidates += r.stats.candidates;
+      stats->bound_rejected += r.stats.bound_rejected;
       pebble_weighted_sum += r.stats.avg_signature_pebbles * r.weight;
       pebble_weight += r.weight;
       merged.insert(merged.end(), r.pairs.begin(), r.pairs.end());

@@ -95,9 +95,13 @@ std::vector<UnifiedSearcher::Match> UnifiedSearcher::VerifyCandidates(
   std::vector<uint32_t> candidates = Candidates(query, options);
   if (stats != nullptr) stats->candidates += candidates.size();
   for (uint32_t id : candidates) {
-    double sim = computer.Approx(query, collection[id]);
+    // Serving reports similarities: reject below theta from the bound,
+    // score every other candidate with the full Algorithm 1 value.
+    double sim = computer.Approx(query, collection[id],
+                                 UsimComputer::kNoEarlyExit, options.theta);
     if (sim >= options.theta) matches.push_back(Match{id, sim});
   }
+  if (stats != nullptr) stats->bound_rejected += computer.bound_rejected();
   return matches;
 }
 
@@ -131,7 +135,7 @@ std::vector<UnifiedSearcher::Match> SearchSlices(
   using Match = UnifiedSearcher::Match;
   const size_t n = slices.size();
   std::vector<std::vector<Match>> per_slice(n);
-  std::vector<uint64_t> candidates(n, 0);
+  std::vector<UnifiedSearcher::QueryStats> slice_stats(n);
   std::vector<double> froze(n, 0.0);
   ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
     for (size_t s = begin; s < end; ++s) {
@@ -141,19 +145,20 @@ std::vector<UnifiedSearcher::Match> SearchSlices(
       // it; ServingIndex assigns its out-parameter, hence the slot.
       slice.index->ServingIndex(&froze[s]);
       UnifiedSearcher searcher(slice.index);
-      UnifiedSearcher::QueryStats slice_stats;
       std::vector<Match> matches =
           k > 0 ? searcher.TopK(query, k, options.theta, options,
-                                &slice_stats)
-                : searcher.Search(query, options, &slice_stats);
+                                &slice_stats[s])
+                : searcher.Search(query, options, &slice_stats[s]);
       for (Match& m : matches) m.id = slice.GlobalId(m.id);
-      candidates[s] = slice_stats.candidates;
       per_slice[s] = std::move(matches);
     }
   });
   if (stats != nullptr) {
     ++stats->queries;
-    for (uint64_t c : candidates) stats->candidates += c;
+    for (const UnifiedSearcher::QueryStats& slice : slice_stats) {
+      stats->candidates += slice.candidates;
+      stats->bound_rejected += slice.bound_rejected;
+    }
   }
   if (index_seconds != nullptr) {
     for (double seconds : froze) *index_seconds += seconds;

@@ -66,6 +66,9 @@ class UnifiedSearcher {
     uint64_t queries = 0;
     /// Candidate records surviving the signature filter (verified).
     uint64_t candidates = 0;
+    /// Candidates rejected from the USIM upper bound alone (no pair
+    /// graph built; see core/usim.h).
+    uint64_t bound_rejected = 0;
   };
 
   /// All indexed records with Approx USIM >= theta, sorted by descending

@@ -4,7 +4,7 @@
 #include <optional>
 #include <set>
 
-#include "join/min_partition.h"
+#include "core/min_partition.h"
 
 namespace aujoin {
 

@@ -5,7 +5,7 @@
 
 #include "index/global_order.h"
 #include "index/pebble.h"
-#include "join/min_partition.h"
+#include "core/min_partition.h"
 #include "test_fixtures.h"
 
 namespace aujoin {

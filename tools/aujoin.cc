@@ -514,11 +514,12 @@ int RunJoin(const Flags& flags) {
 
   if (!target.Finish()) return 1;
   std::fprintf(stderr,
-               "join[%s]: %llu pairs (processed=%llu candidates=%llu) "
-               "filter=%.3fs verify=%.3fs wall=%.3fs\n",
+               "join[%s]: %llu pairs (processed=%llu candidates=%llu "
+               "bound_rejected=%llu) filter=%.3fs verify=%.3fs wall=%.3fs\n",
                algorithm.c_str(), static_cast<unsigned long long>(written),
                static_cast<unsigned long long>(stats.processed_pairs),
                static_cast<unsigned long long>(stats.candidates),
+               static_cast<unsigned long long>(stats.bound_rejected),
                stats.signature_seconds + stats.filter_seconds,
                stats.verify_seconds, wall_seconds);
 
@@ -670,11 +671,12 @@ int RunQuery(const Flags& flags) {
 
   if (!target.Finish()) return 1;
   std::fprintf(stderr,
-               "query: %llu queries, %llu matches (candidates=%llu) "
-               "index=%.3fs search=%.3fs wall=%.3fs\n",
+               "query: %llu queries, %llu matches (candidates=%llu "
+               "bound_rejected=%llu) index=%.3fs search=%.3fs wall=%.3fs\n",
                static_cast<unsigned long long>(stats.queries),
                static_cast<unsigned long long>(written),
                static_cast<unsigned long long>(stats.query_candidates),
+               static_cast<unsigned long long>(stats.bound_rejected),
                stats.index_seconds, stats.search_seconds, wall_seconds);
 
   std::string stats_out = flags.GetString("stats_out", "");
