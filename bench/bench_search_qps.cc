@@ -111,7 +111,7 @@ int Run(int argc, char** argv) {
       double index_built_seconds = 0.0;
       (*index)->ServingIndex(&index_built_seconds);
       run.stats.prepare_seconds = (*index)->prepare_seconds();
-      run.stats.index_seconds = index_built_seconds;
+      run.index_seconds = index_built_seconds;
 
       // The measured serving loop: workers own disjoint query slices
       // and time each Engine::Search call individually (the engine is
@@ -143,9 +143,9 @@ int Run(int argc, char** argv) {
       run.ok = true;
       run.wall_seconds = wall_seconds;
       run.total_seconds = run.stats.prepare_seconds +
-                          run.stats.index_seconds + wall_seconds;
-      run.stats.queries = queries.size();
-      run.stats.query_candidates = candidates.load();
+                          run.index_seconds + wall_seconds;
+      run.queries = queries.size();
+      run.query_candidates = candidates.load();
       run.stats.results = results.load();
       run.has_latency = true;
       run.qps = wall_seconds > 0.0

@@ -243,10 +243,10 @@ int Run(int argc, char** argv) {
   {
     BenchRun run = base_run("serve-sharded");
     run.ok = true;
-    run.stats.queries = shard_serve.stats.queries;
-    run.stats.query_candidates = shard_serve.stats.query_candidates;
+    run.queries = shard_serve.stats.queries;
+    run.query_candidates = shard_serve.stats.query_candidates;
     run.stats.results = shard_serve.stats.results;
-    run.stats.index_seconds = shard_serve.stats.index_seconds;
+    run.index_seconds = shard_serve.stats.index_seconds;
     run.stats.shards = shard_serve.stats.shards;
     run.total_seconds = shard_serve.wall_seconds;
     run.wall_seconds = shard_serve.wall_seconds;

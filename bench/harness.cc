@@ -101,11 +101,11 @@ std::string BenchReport::ToJson() const {
     out += ", \"spill_bytes\": ";
     AppendJsonUint(run.stats.spill_bytes, &out);
     out += ",\n     \"index_seconds\": ";
-    AppendJsonDouble(run.stats.index_seconds, &out);
+    AppendJsonDouble(run.index_seconds, &out);
     out += ", \"queries\": ";
-    AppendJsonUint(run.stats.queries, &out);
+    AppendJsonUint(run.queries, &out);
     out += ", \"query_candidates\": ";
-    AppendJsonUint(run.stats.query_candidates, &out);
+    AppendJsonUint(run.query_candidates, &out);
     out += ", \"peak_rss_bytes\": ";
     AppendJsonUint(run.peak_rss_bytes, &out);
     if (run.has_latency) {

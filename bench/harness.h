@@ -51,6 +51,12 @@ struct BenchRun {
   bool ok = false;
   std::string error;
   JoinStats stats;
+  /// Serving counters (zero on join runs), copied from SearchStats:
+  /// seconds spent building the serving index, queries answered, and
+  /// candidate records verified across them.
+  double index_seconds = 0.0;
+  uint64_t queries = 0;
+  uint64_t query_candidates = 0;
   /// TotalSeconds(include_prepare = true): comparable across algorithms
   /// that do their own indexing. On partitioned runs the per-stage times
   /// are summed across blocks, so this is aggregate work, not elapsed

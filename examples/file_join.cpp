@@ -9,7 +9,8 @@
 //               --out=pairs.tsv [--theta=0.8] [--tau=0] [--threads=0]
 //               [--algorithm=unified]
 //
-// With --tau=0 the overlap constraint is chosen by Algorithm 7.
+// With --tau=0 (the default) Algorithm 7 picks the overlap constraint
+// first; the join that follows is the same streaming Engine::Join.
 // --algorithm accepts any registry name (unified, kjoin, pkduck,
 // adaptjoin, combination). Run without arguments to see the demo: it
 // generates a small world, saves it to temporary files, and joins from
@@ -115,33 +116,27 @@ int main(int argc, char** argv) {
     return true;
   });
 
-  JoinStats stats;
   if (tau <= 0 && algorithm == "unified") {
     TunerOptions tuner;
     tuner.theta = theta;
     tuner.method = FilterMethod::kAuDp;
     tuner.sample_prob_s = 0.05;
-    TauRecommendation rec;
-    Result<JoinResult> result =
-        engine.JoinWithSuggestedTau(options, tuner, &rec);
-    if (!result.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   result.status().ToString().c_str());
+    Result<TauRecommendation> rec = engine.SuggestTau(options, tuner);
+    if (!rec.ok()) {
+      std::fprintf(stderr, "error: %s\n", rec.status().ToString().c_str());
       return 1;
     }
-    std::printf("Algorithm 7 suggested tau=%d (%.3fs)\n", rec.best_tau,
-                rec.seconds);
-    for (const auto& [a, b] : result->pairs) tsv_sink.OnMatch(a, b);
-    stats = result->stats;
-  } else {
-    options.tau = tau > 0 ? tau : 1;
-    Result<JoinStats> run = engine.Join(algorithm, options, &tsv_sink);
-    if (!run.ok()) {
-      std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
-      return 1;
-    }
-    stats = *run;
+    std::printf("Algorithm 7 suggested tau=%d (%.3fs)\n", rec->best_tau,
+                rec->seconds);
+    tau = rec->best_tau;
   }
+  options.tau = tau > 0 ? tau : 1;
+  Result<JoinStats> run = engine.Join(algorithm, options, &tsv_sink);
+  if (!run.ok()) {
+    std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
+    return 1;
+  }
+  const JoinStats& stats = *run;
 
   out.flush();
   if (!out) {

@@ -68,9 +68,13 @@ int main(int argc, char** argv) {
   tuner.theta = theta;
   tuner.method = FilterMethod::kAuDp;
   tuner.sample_prob_s = 0.05;
-  TauRecommendation rec;
-  Result<JoinResult> joined =
-      engine.JoinWithSuggestedTau(options, tuner, &rec);
+  Result<TauRecommendation> rec = engine.SuggestTau(options, tuner);
+  if (!rec.ok()) {
+    std::fprintf(stderr, "error: %s\n", rec.status().ToString().c_str());
+    return 1;
+  }
+  options.tau = rec->best_tau;
+  Result<JoinResult> joined = engine.Join("unified", options);
   if (!joined.ok()) {
     std::fprintf(stderr, "error: %s\n", joined.status().ToString().c_str());
     return 1;
@@ -78,7 +82,7 @@ int main(int argc, char** argv) {
   const JoinResult& result = *joined;
 
   std::printf("suggested tau=%d (%d sampling iterations, %.3fs)\n",
-              rec.best_tau, rec.iterations, rec.seconds);
+              rec->best_tau, rec->iterations, rec->seconds);
   std::printf("join: %zu similar pairs, %llu candidates, %.3fs total\n",
               result.pairs.size(),
               static_cast<unsigned long long>(result.stats.candidates),

@@ -573,27 +573,19 @@ Status Engine::BatchSearch(const std::vector<Record>& queries,
       stats);
 }
 
-Result<JoinResult> Engine::JoinWithSuggestedTau(
-    const EngineJoinOptions& options, const TunerOptions& tuner_options,
-    TauRecommendation* recommendation) {
+Result<TauRecommendation> Engine::SuggestTau(
+    const EngineJoinOptions& options, const TunerOptions& tuner_options) {
   if (s_records_ == nullptr) {
     return Status::FailedPrecondition(
-        "Engine::JoinWithSuggestedTau called before SetRecords()");
+        "Engine::SuggestTau called before SetRecords()");
   }
   if (generational_ != nullptr) {
     return Status::FailedPrecondition(
-        "Engine::JoinWithSuggestedTau is unavailable in append mode");
+        "Engine::SuggestTau is unavailable in append mode");
   }
-  JoinOptions join_options;
-  join_options.theta = options.theta;
-  join_options.tau = options.tau;
-  join_options.method = options.method;
-  join_options.exact_min_partition = options.exact_min_partition;
-  join_options.usim = options.usim;
-  join_options.cache_evict_threshold = options_.cache_evict_threshold;
-  join_options.num_threads = options_.num_threads;
-  return aujoin::JoinWithSuggestedTau(PreparedContext(), join_options,
-                                      tuner_options, recommendation);
+  const JoinOptions join_options =
+      ToJoinOptions(options, MakeAlgorithmContext());
+  return aujoin::SuggestTau(PreparedContext(), join_options, tuner_options);
 }
 
 }  // namespace aujoin

@@ -152,6 +152,8 @@ struct SearchStats {
 /// order), builds it lazily on first use, and reuses it across runs, so
 /// sweeping (theta, tau, algorithm) pays preparation once. Records are
 /// borrowed, not copied; they must outlive the engine's use of them.
+/// Every join, auto-tuned ones included, runs through Join (directly or
+/// as the shard/partition pipeline's blocks); SuggestTau only picks tau.
 class Engine {
  public:
   explicit Engine(EngineOptions options);
@@ -182,12 +184,13 @@ class Engine {
   Result<JoinResult> Join(const std::string& algorithm,
                           const EngineJoinOptions& options);
 
-  /// The tuner path: lets Algorithm 7 pick the overlap constraint tau on
-  /// the engine's prepared context, then runs the unified join with it.
-  /// Suggestion time is reported in stats.suggest_seconds.
-  Result<JoinResult> JoinWithSuggestedTau(
-      const EngineJoinOptions& options, const TunerOptions& tuner_options,
-      TauRecommendation* recommendation = nullptr);
+  /// Calibrates the cost model and lets Algorithm 7 pick tau for
+  /// `options` on the engine's prepared context. The tuned join is then
+  /// an ordinary Join("unified", ...) with that tau, so it streams and
+  /// follows the shard, partition and spill settings.
+  /// kFailedPrecondition before SetRecords or in append mode.
+  Result<TauRecommendation> SuggestTau(const EngineJoinOptions& options,
+                                       const TunerOptions& tuner_options);
 
   /// The lazily-prepared unified JoinContext (pebbles + global order) for
   /// the bound records. Exposed for benches/tuners that drive the filter

@@ -66,11 +66,27 @@ struct AlgorithmContext {
   bool self_join() const { return t_records == nullptr; }
 };
 
+/// The unified join's JoinOptions for one run: `options`' filter and
+/// verification knobs under the context's threading and gram-cache
+/// policy. Every engine path into the join core converts here.
+inline JoinOptions ToJoinOptions(const EngineJoinOptions& options,
+                                 const AlgorithmContext& context) {
+  JoinOptions join_options;
+  join_options.theta = options.theta;
+  join_options.tau = options.tau;
+  join_options.method = options.method;
+  join_options.exact_min_partition = options.exact_min_partition;
+  join_options.usim = options.usim;
+  join_options.cache_evict_threshold = context.cache_evict_threshold;
+  join_options.num_threads = context.num_threads;
+  return join_options;
+}
+
 /// A join algorithm runnable through the Engine facade. Implementations
 /// stream matches to the sink in ascending (first, second) order (see the
 /// MatchSink contract) and fill `stats` with the normalized breakdown:
 /// phase times where the algorithm can attribute them, `candidates`,
-/// and `results`.
+/// and `results`, leaving every other field as the caller set it.
 class JoinAlgorithm {
  public:
   virtual ~JoinAlgorithm() = default;

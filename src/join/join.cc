@@ -1,6 +1,7 @@
 #include "join/join.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "index/csr_index.h"
 #include "index/inverted_index.h"
@@ -166,73 +167,110 @@ JoinContext::FilterOutput JoinContext::RunFilter(
   return out;
 }
 
-void VerifyCandidates(
-    const JoinContext& context, const JoinOptions& options,
-    const std::vector<std::pair<uint32_t, uint32_t>>& candidates,
-    JoinResult* result) {
-  WallTimer timer;
+namespace {
+
+using PairVec = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Algorithm 1 over `candidates` in consecutive batches of `batch_size`:
+/// each batch fans out over the workers, its survivors are sorted and
+/// handed to `on_batch`, and a false return stops before the next batch.
+/// One computer (and gram cache) per worker persists across batches, so
+/// streaming costs no cache warmth; MsimEvaluator is not thread-safe.
+void VerifyInBatches(const JoinContext& context, const JoinOptions& options,
+                     const PairVec& candidates, size_t batch_size,
+                     const VerifiedBatchFn& on_batch, JoinStats* stats) {
   UsimOptions usim_options = options.usim;
   usim_options.msim = context.msim_options();
   const auto& s_records = context.s_records();
   const auto& t_records = context.t_records();
-
   const int workers = ResolveThreads(options.num_threads);
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> worker_pairs(
-      workers);
-  std::vector<uint64_t> worker_rejected(workers, 0);
-  ParallelFor(
-      candidates.size(), options.num_threads,
-      [&](size_t begin, size_t end, int worker) {
-        // One computer (and gram cache) per worker; MsimEvaluator is not
-        // thread-safe.
-        UsimComputer computer(context.knowledge(), usim_options);
-        for (size_t c = begin; c < end; ++c) {
-          const auto& [si, ti] = candidates[c];
-          if (computer.evaluator()->CacheSize() >
-              options.cache_evict_threshold) {
-            computer.evaluator()->ClearCache();
+  std::vector<UsimComputer> computers(
+      workers, UsimComputer(context.knowledge(), usim_options));
+
+  const size_t batch = std::max<size_t>(1, batch_size);
+  std::vector<PairVec> worker_pairs(workers);
+  for (size_t begin = 0, end; begin < candidates.size(); begin = end) {
+    end = begin + std::min(batch, candidates.size() - begin);
+    WallTimer timer;
+    ParallelFor(
+        end - begin, options.num_threads,
+        [&](size_t lo, size_t hi, int worker) {
+          UsimComputer& computer = computers[worker];
+          for (size_t c = begin + lo; c < begin + hi; ++c) {
+            const auto& [si, ti] = candidates[c];
+            if (computer.evaluator()->CacheSize() >
+                options.cache_evict_threshold) {
+              computer.evaluator()->ClearCache();
+            }
+            // Verification only needs the predicate, so Algorithm 1 may
+            // stop as soon as theta is reached.
+            double sim = computer.Approx(s_records[si], t_records[ti],
+                                         options.theta);
+            if (sim >= options.theta) {
+              worker_pairs[worker].emplace_back(si, ti);
+            }
           }
-          // Verification only needs the predicate, so Algorithm 1 may
-          // stop as soon as theta is reached.
-          double sim = computer.Approx(s_records[si], t_records[ti],
-                                       options.theta);
-          if (sim >= options.theta) {
-            worker_pairs[worker].emplace_back(si, ti);
-          }
-        }
-        worker_rejected[worker] += computer.bound_rejected();
-      });
-  for (int w = 0; w < workers; ++w) {
-    result->pairs.insert(result->pairs.end(), worker_pairs[w].begin(),
-                         worker_pairs[w].end());
-    result->stats.bound_rejected += worker_rejected[w];
+        });
+    PairVec verified;
+    for (PairVec& pairs : worker_pairs) {
+      verified.insert(verified.end(), pairs.begin(), pairs.end());
+      pairs.clear();
+    }
+    // Deterministic output regardless of the worker split.
+    std::sort(verified.begin(), verified.end());
+    stats->verify_seconds += timer.Seconds();
+    if (!on_batch(verified)) break;
   }
-  // Deterministic output regardless of the worker split.
-  std::sort(result->pairs.begin(), result->pairs.end());
-  result->stats.verify_seconds += timer.Seconds();
-  result->stats.results = result->pairs.size();
+  for (const UsimComputer& computer : computers) {
+    stats->bound_rejected += computer.bound_rejected();
+  }
 }
 
-JoinResult UnifiedJoin(const JoinContext& context,
-                       const JoinOptions& options) {
-  JoinResult result;
-  SignatureOptions sig_options;
-  sig_options.theta = options.theta;
-  sig_options.tau = options.tau;
-  sig_options.method = options.method;
-  sig_options.exact_min_partition = options.exact_min_partition;
+/// Appends every verified batch to `result`.
+VerifiedBatchFn AppendTo(JoinResult* result) {
+  return [result](const PairVec& batch) {
+    result->pairs.insert(result->pairs.end(), batch.begin(), batch.end());
+    result->stats.results = result->pairs.size();
+    return true;
+  };
+}
 
+}  // namespace
+
+void StreamUnifiedJoin(const JoinContext& context, const JoinOptions& options,
+                       size_t batch_size, const VerifiedBatchFn& on_batch,
+                       JoinStats* stats) {
+  SignatureOptions sig_options{options.theta, options.tau, options.method,
+                               options.exact_min_partition};
   JoinContext::FilterOutput filtered =
       context.RunFilter(sig_options, nullptr, nullptr, options.num_threads);
-  result.stats.prepare_seconds = context.prepare_seconds();
-  result.stats.signature_seconds = filtered.signature_seconds;
-  result.stats.filter_seconds = filtered.filter_seconds;
-  result.stats.processed_pairs = filtered.processed_pairs;
-  result.stats.candidates = filtered.candidates.size();
-  result.stats.avg_signature_pebbles = filtered.avg_signature_pebbles;
+  stats->prepare_seconds = context.prepare_seconds();
+  stats->signature_seconds = filtered.signature_seconds;
+  stats->filter_seconds = filtered.filter_seconds;
+  stats->processed_pairs = filtered.processed_pairs;
+  stats->candidates = filtered.candidates.size();
+  stats->avg_signature_pebbles = filtered.avg_signature_pebbles;
 
-  VerifyCandidates(context, options, filtered.candidates, &result);
+  // Sorted candidates make every batch's sorted survivors the next run
+  // of the globally sorted output.
+  std::sort(filtered.candidates.begin(), filtered.candidates.end());
+  VerifyInBatches(context, options, filtered.candidates, batch_size,
+                  on_batch, stats);
+}
+
+JoinResult UnifiedJoin(const JoinContext& context, const JoinOptions& options) {
+  JoinResult result;
+  StreamUnifiedJoin(context, options, std::numeric_limits<size_t>::max(),
+                    AppendTo(&result), &result.stats);
   return result;
+}
+
+void VerifyCandidates(const JoinContext& context, const JoinOptions& options,
+                      const PairVec& candidates, JoinResult* result) {
+  VerifyInBatches(context, options, candidates, candidates.size(),
+                  AppendTo(result), &result->stats);
+  // Callers may verify in slices into one result.
+  std::sort(result->pairs.begin(), result->pairs.end());
 }
 
 }  // namespace aujoin

@@ -2,6 +2,7 @@
 #define AUJOIN_JOIN_JOIN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -62,12 +63,6 @@ struct JoinStats {
   uint64_t spill_runs = 0;
   uint64_t spill_pairs = 0;
   uint64_t spill_bytes = 0;
-  /// Serving-side counters (zero on pure join runs): seconds spent
-  /// building the full-key serving index (PreparedIndex::ServingIndex),
-  /// queries answered, and candidate records probed across them.
-  double index_seconds = 0.0;
-  uint64_t queries = 0;
-  uint64_t query_candidates = 0;
 
   /// Sums the per-phase times. Preparation (pebble generation + global
   /// ordering) happens once per JoinContext and is amortised across runs,
@@ -161,11 +156,29 @@ class JoinContext {
   std::shared_ptr<const PreparedIndex> index_;
 };
 
-/// Runs the full filter-and-verification join over a prepared context.
+/// Receives one verified batch of (s_index, t_index) pairs, sorted
+/// ascending and above every earlier batch; returning false stops the
+/// join before the next batch is verified.
+using VerifiedBatchFn =
+    std::function<bool(const std::vector<std::pair<uint32_t, uint32_t>>&)>;
+
+/// The unified join's one filter -> verify core: Algorithm 6's filter,
+/// then Algorithm 1 over the sorted candidates in batches of
+/// `batch_size` (one UsimComputer per worker, kept across batches).
+/// Each batch's sorted survivors go to `on_batch` before the next batch
+/// is verified. Fills the `stats` it measures; `results` is left to the
+/// batch consumer.
+void StreamUnifiedJoin(const JoinContext& context, const JoinOptions& options,
+                       size_t batch_size, const VerifiedBatchFn& on_batch,
+                       JoinStats* stats);
+
+/// Runs the full filter-and-verification join over a prepared context
+/// and collects its result.
 JoinResult UnifiedJoin(const JoinContext& context, const JoinOptions& options);
 
-/// Verifies candidate pairs with Algorithm 1 and appends survivors to
-/// `result`. Exposed so benches can time verification separately.
+/// Verifies candidate pairs with Algorithm 1, appends survivors to
+/// `result` and keeps its pairs sorted. Exposed so benches can time
+/// verification separately.
 void VerifyCandidates(
     const JoinContext& context, const JoinOptions& options,
     const std::vector<std::pair<uint32_t, uint32_t>>& candidates,

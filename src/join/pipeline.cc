@@ -65,12 +65,8 @@ void RunBlock(const AlgorithmFactory& factory,
   }
 
   // Blocks run serially inside; parallelism comes from the block pool.
-  AlgorithmContext ctx;
-  ctx.knowledge = base_context.knowledge;
-  ctx.msim = base_context.msim;
+  AlgorithmContext ctx = base_context;
   ctx.num_threads = 1;
-  ctx.cache_evict_threshold = base_context.cache_evict_threshold;
-  ctx.stream_batch_size = base_context.stream_batch_size;
 
   std::vector<Record> local_s, local_t;
   bool concatenated = false;
@@ -123,9 +119,6 @@ void RunBlock(const AlgorithmFactory& factory,
   CollectingSink collected;
   result->status = algo->Run(ctx, options, &collected, &result->stats);
   if (!result->status.ok()) return;
-  if (block_join_context != nullptr) {
-    result->stats.prepare_seconds = block_join_context->prepare_seconds();
-  }
   result->weight = static_cast<double>(local_s.size() + local_t.size());
 
   // Self-join cross blocks of a hash plan interleave: a straddling pair
@@ -216,14 +209,7 @@ Status RunPartitionedJoin(const AlgorithmFactory& factory,
     if (algo == nullptr) {
       return Status::Internal("algorithm factory returned null");
     }
-    uint64_t shards = stats->shards;
-    uint64_t partitions = stats->partitions;
-    uint64_t partition_blocks = stats->partition_blocks;
-    Status status = algo->Run(context, options, sink, stats);
-    stats->shards = shards;
-    stats->partitions = partitions;
-    stats->partition_blocks = partition_blocks;
-    return status;
+    return algo->Run(context, options, sink, stats);
   }
 
   std::vector<BlockResult> results(blocks.size());

@@ -90,13 +90,19 @@ TauRecommendation RecommendTau(const JoinContext& context,
   return rec;
 }
 
+TauRecommendation SuggestTau(const JoinContext& context,
+                             const JoinOptions& join_options,
+                             const TunerOptions& tuner_options) {
+  return RecommendTau(context, CalibrateCostModel(context, join_options),
+                      tuner_options);
+}
+
 JoinResult JoinWithSuggestedTau(const JoinContext& context,
                                 JoinOptions join_options,
                                 const TunerOptions& tuner_options,
                                 TauRecommendation* recommendation) {
   WallTimer timer;
-  CostModel cost_model = CalibrateCostModel(context, join_options);
-  TauRecommendation rec = RecommendTau(context, cost_model, tuner_options);
+  TauRecommendation rec = SuggestTau(context, join_options, tuner_options);
   double suggest_seconds = timer.Seconds();
 
   join_options.tau = rec.best_tau;

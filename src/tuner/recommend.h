@@ -49,8 +49,15 @@ TauRecommendation RecommendTau(const JoinContext& context,
                                const CostModel& cost_model,
                                const TunerOptions& options);
 
-/// Convenience wrapper: calibrates the cost model, recommends tau, then
-/// runs the full join with the suggested value. The suggestion time is
+/// Calibrates the cost model for `join_options` on `context`, then runs
+/// Algorithm 7: the tau suggestion a join is then run with (below, or
+/// Engine::SuggestTau followed by Engine::Join).
+TauRecommendation SuggestTau(const JoinContext& context,
+                             const JoinOptions& join_options,
+                             const TunerOptions& tuner_options);
+
+/// Convenience wrapper: SuggestTau, then the full join with the
+/// suggested value. The suggestion time (calibration included) is
 /// reported in the result's stats.suggest_seconds.
 JoinResult JoinWithSuggestedTau(const JoinContext& context,
                                 JoinOptions join_options,

@@ -1,9 +1,12 @@
 // Tests for the Engine facade: registry round-trips, MatchSink streaming
 // vs. collecting parity, agreement of all algorithms under theta = 1.0
-// exact matching, and the guarantee that the collecting sink reproduces
-// the pre-facade UnifiedJoin output exactly.
+// exact matching, the guarantee that the collecting sink reproduces
+// the pre-facade UnifiedJoin output exactly, and tuned joins
+// (SuggestTau + Join) following the engine's shard, partition and spill
+// modes.
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +15,9 @@
 
 #include "api/engine.h"
 #include "baselines/combination.h"
+#include "datagen/corpus_gen.h"
+#include "datagen/synonym_gen.h"
+#include "datagen/taxonomy_gen.h"
 #include "join/join.h"
 #include "test_fixtures.h"
 
@@ -273,6 +279,132 @@ TEST(ApiExactMatchTest, AllAlgorithmsAgreeAtThetaOne) {
     ASSERT_TRUE(result.ok()) << name;
     EXPECT_EQ(result->pairs, expected) << name;
   }
+}
+
+// ------------------------------------------------------- tuned joins
+
+/// A generated corpus big enough for the tuner's sampling and a real
+/// shard grid, plus the tuner settings every tuned join below uses.
+class EngineTunedJoinTest : public ::testing::Test {
+ protected:
+  EngineTunedJoinTest() {
+    taxonomy_ = GenerateTaxonomy({.num_nodes = 300}, &vocab_);
+    rules_ = GenerateSynonyms({.num_rules = 400}, taxonomy_, &vocab_);
+    CorpusGenerator gen(&vocab_, &taxonomy_, &rules_);
+    corpus_ = gen.Generate(CorpusProfile::Med(120), {.num_pairs = 30});
+    options_.theta = 0.75;
+    tuner_.theta = options_.theta;
+    tuner_.method = options_.method;
+    tuner_.tau_universe = {1, 2, 3, 4};
+    tuner_.sample_prob_s = 0.1;
+    tuner_.min_iterations = 5;
+    tuner_.max_iterations = 20;
+  }
+
+  EngineBuilder Builder() const {
+    EngineBuilder builder;
+    builder.SetKnowledge(Knowledge{&vocab_, &rules_, &taxonomy_});
+    builder.SetMeasures("TJS").SetQ(3);
+    return builder;
+  }
+
+  /// Lets the engine pick tau, checks the pick, and returns the join
+  /// options carrying it.
+  EngineJoinOptions Tuned(Engine* engine) {
+    Result<TauRecommendation> rec = engine->SuggestTau(options_, tuner_);
+    EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+    EngineJoinOptions tuned = options_;
+    if (!rec.ok()) return tuned;
+    const std::vector<int>& universe = tuner_.tau_universe;
+    EXPECT_EQ(std::count(universe.begin(), universe.end(), rec->best_tau), 1);
+    tuned.tau = rec->best_tau;
+    return tuned;
+  }
+
+  Vocabulary vocab_;
+  Taxonomy taxonomy_;
+  RuleSet rules_;
+  Corpus corpus_;
+  EngineJoinOptions options_;
+  TunerOptions tuner_;
+};
+
+// A tuned join is an ordinary Engine::Join: whatever tau the tuner
+// picks, every mode returns the monolithic pairs for that tau, and the
+// stats show the mode really ran (shards, blocks, spill runs).
+TEST_F(EngineTunedJoinTest, TunedJoinsFollowTheEnginesMode) {
+  struct Setup {
+    const char* label;
+    size_t shards;
+    ShardBy shard_by;
+    size_t max_partition_records;
+    size_t spill_budget_bytes;
+    uint64_t want_shards;
+    uint64_t want_blocks;
+    bool want_spill;
+  };
+  // Three size-bounded partitions: six upper-triangle blocks.
+  const size_t third = (corpus_.records.size() + 2) / 3;
+  const Setup setups[] = {
+      {"monolithic", 0, ShardBy::kRange, 0, 0, 0, 0, false},
+      {"range shards", 4, ShardBy::kRange, 0, 0, 4, 10, false},
+      {"hash shards", 4, ShardBy::kHash, 0, 0, 4, 10, false},
+      {"partitions", 0, ShardBy::kRange, third, 0, 0, 6, false},
+      {"spilling shards", 4, ShardBy::kRange, 0, 16, 4, 10, true},
+  };
+
+  Engine monolithic = Builder().Build();
+  monolithic.SetRecords(corpus_.records);
+  std::map<int, PairVec> monolithic_pairs;  // by tau
+  for (const Setup& setup : setups) {
+    Engine engine = Builder()
+                        .SetThreads(2)
+                        .SetNumShards(setup.shards)
+                        .SetShardBy(setup.shard_by)
+                        .SetMaxPartitionRecords(setup.max_partition_records)
+                        .SetSpillBudgetBytes(setup.spill_budget_bytes)
+                        .SetSpillDir(::testing::TempDir())
+                        .Build();
+    engine.SetRecords(corpus_.records);
+    const EngineJoinOptions tuned = Tuned(&engine);
+    if (monolithic_pairs.count(tuned.tau) == 0) {
+      Result<JoinResult> mono = monolithic.Join("unified", tuned);
+      ASSERT_TRUE(mono.ok());
+      ASSERT_FALSE(mono->pairs.empty());
+      monolithic_pairs[tuned.tau] = mono->pairs;
+    }
+    Result<JoinResult> result = engine.Join("unified", tuned);
+    ASSERT_TRUE(result.ok()) << setup.label;
+    EXPECT_EQ(result->pairs, monolithic_pairs[tuned.tau]) << setup.label;
+    EXPECT_EQ(result->stats.results, result->pairs.size()) << setup.label;
+    EXPECT_EQ(result->stats.shards, setup.want_shards) << setup.label;
+    EXPECT_EQ(result->stats.partition_blocks, setup.want_blocks) << setup.label;
+    EXPECT_EQ(result->stats.spill_runs > 0, setup.want_spill) << setup.label;
+  }
+}
+
+TEST_F(EngineTunedJoinTest, SinkStopsATunedJoin) {
+  for (size_t shards : {0u, 4u}) {
+    Engine engine = Builder().SetNumShards(shards).Build();
+    engine.SetRecords(corpus_.records);
+    const EngineJoinOptions tuned = Tuned(&engine);
+    Result<JoinResult> all = engine.Join("unified", tuned);
+    ASSERT_TRUE(all.ok());
+    ASSERT_GE(all->pairs.size(), 2u);
+
+    CountingSink limited(1);
+    Result<JoinStats> stats = engine.Join("unified", tuned, &limited);
+    ASSERT_TRUE(stats.ok()) << "shards=" << shards;
+    EXPECT_EQ(limited.count(), 1u) << "shards=" << shards;
+    EXPECT_EQ(stats->results, 1u) << "shards=" << shards;
+  }
+}
+
+TEST_F(EngineTunedJoinTest, SuggestTauBeforeSetRecordsIsFailedPrecondition) {
+  Engine engine = Builder().Build();
+  Result<TauRecommendation> rec = engine.SuggestTau(options_, tuner_);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -476,8 +476,8 @@ int RunJoin(const Flags& flags) {
     return true;
   });
 
-  JoinStats stats;
   WallTimer wall;
+  double suggest_seconds = 0.0;
   if (tau <= 0) {
     if (algorithm != "unified") {
       std::fprintf(stderr,
@@ -489,27 +489,23 @@ int RunJoin(const Flags& flags) {
     tuner.method = options.method;
     tuner.sample_prob_s = tuner.sample_prob_t =
         flags.GetDouble("sample", 0.05);
-    TauRecommendation rec;
-    Result<JoinResult> result =
-        engine.JoinWithSuggestedTau(options, tuner, &rec);
-    if (!result.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   result.status().ToString().c_str());
+    Result<TauRecommendation> rec = engine.SuggestTau(options, tuner);
+    if (!rec.ok()) {
+      std::fprintf(stderr, "error: %s\n", rec.status().ToString().c_str());
       return 1;
     }
+    suggest_seconds = wall.Seconds();
     std::fprintf(stderr, "algorithm 7 suggested tau=%d (%.3fs)\n",
-                 rec.best_tau, rec.seconds);
-    options.tau = rec.best_tau;
-    for (const auto& [a, b] : result->pairs) sink.OnMatch(a, b);
-    stats = result->stats;
-  } else {
-    Result<JoinStats> run = engine.Join(algorithm, options, &sink);
-    if (!run.ok()) {
-      std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
-      return 1;
-    }
-    stats = *run;
+                 rec->best_tau, rec->seconds);
+    options.tau = rec->best_tau;
   }
+  Result<JoinStats> joined = engine.Join(algorithm, options, &sink);
+  if (!joined.ok()) {
+    std::fprintf(stderr, "error: %s\n", joined.status().ToString().c_str());
+    return 1;
+  }
+  JoinStats stats = *joined;
+  stats.suggest_seconds = suggest_seconds;
   double wall_seconds = wall.Seconds();
 
   if (!target.Finish()) return 1;
@@ -706,9 +702,9 @@ int RunQuery(const Flags& flags) {
       run.stats.prepare_seconds =
           index.ok() ? (*index)->prepare_seconds() : 0.0;
     }
-    run.stats.index_seconds = stats.index_seconds;
-    run.stats.queries = stats.queries;
-    run.stats.query_candidates = stats.query_candidates;
+    run.index_seconds = stats.index_seconds;
+    run.queries = stats.queries;
+    run.query_candidates = stats.query_candidates;
     run.stats.results = stats.results;
     run.stats.shards = stats.shards;
     // Cold-start provenance: lets bench scripts tell a snapshot-served
@@ -906,26 +902,31 @@ int RunTune(const Flags& flags) {
     }
   }
 
-  TauRecommendation rec;
-  Result<JoinResult> result =
-      engine.JoinWithSuggestedTau(options, tuner, &rec);
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+  Result<TauRecommendation> rec = engine.SuggestTau(options, tuner);
+  if (!rec.ok()) {
+    std::fprintf(stderr, "error: %s\n", rec.status().ToString().c_str());
+    return 1;
+  }
+  options.tau = rec->best_tau;
+  CountingSink counter;
+  Result<JoinStats> joined = engine.Join("unified", options, &counter);
+  if (!joined.ok()) {
+    std::fprintf(stderr, "error: %s\n", joined.status().ToString().c_str());
     return 1;
   }
 
   std::string json = "{";
   AppendJsonKey("best_tau", &json);
-  AppendJsonUint(static_cast<uint64_t>(rec.best_tau), &json);
+  AppendJsonUint(static_cast<uint64_t>(rec->best_tau), &json);
   json += ", ";
   AppendJsonKey("iterations", &json);
-  AppendJsonUint(static_cast<uint64_t>(rec.iterations), &json);
+  AppendJsonUint(static_cast<uint64_t>(rec->iterations), &json);
   json += ", ";
   AppendJsonKey("converged", &json);
-  json += rec.converged ? "true" : "false";
+  json += rec->converged ? "true" : "false";
   json += ", ";
   AppendJsonKey("suggest_seconds", &json);
-  AppendJsonDouble(rec.seconds, &json);
+  AppendJsonDouble(rec->seconds, &json);
   json += ", ";
   AppendJsonKey("tau_universe", &json);
   json += "[";
@@ -936,13 +937,13 @@ int RunTune(const Flags& flags) {
   json += "], ";
   AppendJsonKey("estimated_cost", &json);
   json += "[";
-  for (size_t i = 0; i < rec.estimated_cost.size(); ++i) {
+  for (size_t i = 0; i < rec->estimated_cost.size(); ++i) {
     if (i > 0) json += ", ";
-    AppendJsonDouble(rec.estimated_cost[i], &json);
+    AppendJsonDouble(rec->estimated_cost[i], &json);
   }
   json += "], ";
   AppendJsonKey("results", &json);
-  AppendJsonUint(result->pairs.size(), &json);
+  AppendJsonUint(counter.count(), &json);
   json += "}";
   std::printf("%s\n", json.c_str());
   return 0;
