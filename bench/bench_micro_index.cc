@@ -1,35 +1,26 @@
 // Candidate-generation micro-bench: legacy hash-map inverted index vs
-// the frozen CSR index (index/csr_index.h), and — within the CSR
-// path — the scalar probe kernel vs the best vector kernel the host
-// supports (src/kernels/). Builds one PreparedIndex over a generated
-// corpus, selects every record's signature once, then measures the two
-// halves of the hot path separately for each variant:
+// the frozen CSR index (index/csr_index.h). Builds one PreparedIndex
+// over a generated corpus, selects every record's signature once, then
+// measures the two halves of the hot path separately for each variant:
 //
 //   build  — staging the postings (and, for CSR, freezing them)
 //   probe  — candidate generation for every record, repeated --repeat
 //            times: per-key posting lookups + hash-map overlap counting
 //            (legacy) vs sequential posting-run merges + epoch-stamped
-//            counting + required-overlap select, forced onto one
-//            kernel per CSR variant (csr-scalar, csr-avx2, ...)
+//            counting + required-overlap select (csr-scalar)
 //
-// Every variant must produce identical candidate and visited-posting
+// Both variants must produce identical candidate and visited-posting
 // counts (the bench exits non-zero otherwise — it doubles as a parity
 // check), and the report lands in BENCH_<name>.json with the
 // index_build_seconds / probe_records_per_sec / probe_postings_per_sec
-// / kernel / probe_speedup fields documented in docs/bench-schema.md.
+// / kernel fields documented in docs/bench-schema.md.
 //
-// Two independent CI gates:
-//   --min_csr_speedup=<x>  the csr-scalar probe must be at least x
-//                          times the legacy-map throughput
-//   --min_speedup=<x>      the vector-kernel probe must be at least x
-//                          times the csr-scalar throughput (fails when
-//                          no vector kernel is available, so CI also
-//                          asserts SIMD dispatch actually happened)
+// CI gate: --min_csr_speedup=<x> requires the csr-scalar probe to reach
+// at least x times the legacy-map throughput.
 //
 // Typical invocation:
 //   bench_micro_index --name=micro_index --profile=med --strings=300 \
-//     --theta=0.7 --tau=2 --repeat=20 --min_csr_speedup=1.5 \
-//     --min_speedup=1.3
+//     --theta=0.7 --tau=2 --repeat=20 --min_csr_speedup=1.5
 
 #include <algorithm>
 #include <cstdio>
@@ -92,16 +83,14 @@ ProbeOutcome ProbeLegacy(const std::vector<Signature>& sigs,
   return out;
 }
 
-/// The shipped path on one forced kernel: frozen CSR posting runs (the
-/// self-pair prefix dropped with one upper_bound cut, exactly the
-/// join's dense self-probe) merged through the epoch-stamped
-/// CandidateAccumulator, survivors selected by the merged
-/// required-overlap kernel.
+/// The shipped path: frozen CSR posting runs (the self-pair prefix
+/// dropped with one upper_bound cut, exactly the join's dense
+/// self-probe) merged through the epoch-stamped CandidateAccumulator,
+/// survivors selected by the merged required-overlap select.
 ProbeOutcome ProbeCsr(const std::vector<Signature>& sigs,
                       const std::vector<uint32_t>& taus, const CsrIndex& index,
-                      const KernelOps* kernel, int repeat) {
+                      int repeat) {
   ProbeOutcome out;
-  ForceKernelForTesting(kernel);
   WallTimer timer;
   CandidateAccumulator overlap;
   for (int r = 0; r < repeat; ++r) {
@@ -125,7 +114,6 @@ ProbeOutcome ProbeCsr(const std::vector<Signature>& sigs,
     out.postings_visited = visited;
   }
   out.seconds = timer.Seconds();
-  ForceKernelForTesting(nullptr);
   return out;
 }
 
@@ -173,11 +161,10 @@ int Run(int argc, char** argv) {
   int tau = static_cast<int>(flags.GetInt("tau", 2));
   int repeat = static_cast<int>(flags.GetInt("repeat", 20));
   double min_csr_speedup = flags.GetDouble("min_csr_speedup", 0.0);
-  double min_speedup = flags.GetDouble("min_speedup", 0.0);
   std::string out_path = flags.GetString("out", "BENCH_" + name + ".json");
 
   PrintBanner("candidate-index micro-bench", "hot path of Algorithms 3/6",
-              "frozen CSR + vector kernels beat the pointer-chasing map");
+              "frozen CSR beats the pointer-chasing map");
   std::printf("corpus: profile=%s strings=%zu theta=%.2f tau=%d repeat=%d\n",
               profile.c_str(), strings, theta, tau, repeat);
 
@@ -211,49 +198,22 @@ int Run(int argc, char** argv) {
   CsrIndex csr = CsrIndex::Freeze(staging);
   double csr_build = build_timer.Seconds();
 
-  // The kernel race: scalar always, plus the best non-scalar variant
-  // this host registers (AvailableKernels lists widest last).
-  const KernelOps* scalar = &ScalarKernel();
-  const KernelOps* vector_kernel = nullptr;
-  for (const KernelOps* kernel : AvailableKernels()) {
-    if (kernel->kind != KernelKind::kScalar) vector_kernel = kernel;
-  }
-  if (ForceScalarEnvRequested()) {
-    std::printf("AUJOIN_FORCE_SCALAR set: racing only the scalar kernel\n");
-    vector_kernel = nullptr;
-  }
-
   ProbeOutcome legacy_probe = ProbeLegacy(sigs, legacy, repeat);
-  ProbeOutcome scalar_probe = ProbeCsr(sigs, taus, csr, scalar, repeat);
-  ProbeOutcome vector_probe;
-  if (vector_kernel != nullptr) {
-    vector_probe = ProbeCsr(sigs, taus, csr, vector_kernel, repeat);
-  }
+  ProbeOutcome csr_probe = ProbeCsr(sigs, taus, csr, repeat);
 
-  if (!SameOutcome(legacy_probe, scalar_probe) ||
-      (vector_kernel != nullptr && !SameOutcome(scalar_probe, vector_probe))) {
-    std::fprintf(
-        stderr,
-        "PARITY FAILURE: legacy candidates=%llu postings=%llu / "
-        "csr-scalar candidates=%llu postings=%llu / "
-        "csr-%s candidates=%llu postings=%llu\n",
-        static_cast<unsigned long long>(legacy_probe.candidates),
-        static_cast<unsigned long long>(legacy_probe.postings_visited),
-        static_cast<unsigned long long>(scalar_probe.candidates),
-        static_cast<unsigned long long>(scalar_probe.postings_visited),
-        vector_kernel != nullptr ? vector_kernel->name : "none",
-        static_cast<unsigned long long>(vector_probe.candidates),
-        static_cast<unsigned long long>(vector_probe.postings_visited));
+  if (!SameOutcome(legacy_probe, csr_probe)) {
+    std::fprintf(stderr,
+                 "PARITY FAILURE: legacy candidates=%llu postings=%llu / "
+                 "csr-scalar candidates=%llu postings=%llu\n",
+                 static_cast<unsigned long long>(legacy_probe.candidates),
+                 static_cast<unsigned long long>(legacy_probe.postings_visited),
+                 static_cast<unsigned long long>(csr_probe.candidates),
+                 static_cast<unsigned long long>(csr_probe.postings_visited));
     return 2;
   }
 
-  double csr_speedup = scalar_probe.seconds > 0.0
-                           ? legacy_probe.seconds / scalar_probe.seconds
-                           : 0.0;
-  double kernel_speedup =
-      vector_kernel != nullptr && vector_probe.seconds > 0.0
-          ? scalar_probe.seconds / vector_probe.seconds
-          : 0.0;
+  double csr_speedup =
+      csr_probe.seconds > 0.0 ? legacy_probe.seconds / csr_probe.seconds : 0.0;
 
   BenchReport report;
   report.name = name;
@@ -261,32 +221,17 @@ int Run(int argc, char** argv) {
   report.num_records = records.size();
   report.runs.push_back(MakeRun("legacy-map", legacy_probe, legacy_build,
                                 records.size(), theta, tau, repeat, nullptr));
-  report.runs.push_back(MakeRun("csr-scalar", scalar_probe, csr_build,
+  report.runs.push_back(MakeRun("csr-scalar", csr_probe, csr_build,
                                 records.size(), theta, tau, repeat,
-                                scalar->name));
-  if (vector_kernel != nullptr) {
-    BenchRun run = MakeRun(std::string("csr-") + vector_kernel->name,
-                           vector_probe, csr_build, records.size(), theta,
-                           tau, repeat, vector_kernel->name);
-    run.probe_speedup = kernel_speedup;
-    report.runs.push_back(std::move(run));
-  }
+                                ActiveKernel().name));
 
   std::printf("index build: legacy=%.4fs csr=%.4fs (csr bytes=%zu)\n",
               legacy_build, csr_build, csr.memory_bytes());
   std::printf(
       "probe (%d sweeps, %llu candidates/sweep): legacy=%.4fs "
       "csr-scalar=%.4fs -> speedup %.2fx\n",
-      repeat, static_cast<unsigned long long>(scalar_probe.candidates),
-      legacy_probe.seconds, scalar_probe.seconds, csr_speedup);
-  if (vector_kernel != nullptr) {
-    std::printf("kernel race: csr-scalar=%.4fs csr-%s=%.4fs -> speedup "
-                "%.2fx\n",
-                scalar_probe.seconds, vector_kernel->name,
-                vector_probe.seconds, kernel_speedup);
-  } else {
-    std::printf("kernel race: skipped (no vector kernel on this host)\n");
-  }
+      repeat, static_cast<unsigned long long>(csr_probe.candidates),
+      legacy_probe.seconds, csr_probe.seconds, csr_speedup);
 
   if (!report.WriteJsonFile(out_path)) {
     std::fprintf(stderr, "FAILED to write %s\n", out_path.c_str());
@@ -301,22 +246,6 @@ int Run(int argc, char** argv) {
                  "--min_csr_speedup=%.2f gate\n",
                  csr_speedup, min_csr_speedup);
     return 1;
-  }
-  if (min_speedup > 0.0) {
-    if (vector_kernel == nullptr) {
-      std::fprintf(stderr,
-                   "SMOKE FAILURE: --min_speedup=%.2f requires a vector "
-                   "kernel, but only scalar is available\n",
-                   min_speedup);
-      return 1;
-    }
-    if (kernel_speedup < min_speedup) {
-      std::fprintf(stderr,
-                   "SMOKE FAILURE: csr-%s probe speedup %.2fx over scalar "
-                   "below the --min_speedup=%.2f gate\n",
-                   vector_kernel->name, kernel_speedup, min_speedup);
-      return 1;
-    }
   }
   return 0;
 }

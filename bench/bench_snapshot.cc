@@ -144,7 +144,8 @@ int Run(int argc, char** argv) {
   GenerationalIndex::SearchOptions gen_options;
   gen_options.theta = theta;
   gen_options.tau = tau;
-  generational.Search(records[0], gen_options);
+  SearchSlices(generational.Slices(), records[0], /*k=*/0, gen_options,
+               /*num_threads=*/1);
   double append_seconds = timer.Seconds();
 
   timer.Restart();

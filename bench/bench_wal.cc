@@ -55,7 +55,10 @@ std::vector<std::vector<GenerationalIndex::Match>> Sweep(
   options.tau = tau;
   std::vector<std::vector<GenerationalIndex::Match>> out;
   out.reserve(queries.size());
-  for (const Record& q : queries) out.push_back(index.Search(q, options));
+  for (const Record& q : queries) {
+    out.push_back(SearchSlices(index.Slices(), q, /*k=*/0, options,
+                               /*num_threads=*/1));
+  }
   return out;
 }
 
@@ -145,7 +148,8 @@ int Run(int argc, char** argv) {
     GenerationalIndex::SearchOptions options;
     options.theta = theta;
     options.tau = tau;
-    cold->Search(records[0], options);
+    SearchSlices(cold->Slices(), records[0], /*k=*/0, options,
+                 /*num_threads=*/1);
     recovery_seconds += timer.Seconds();
   }
   recovery_seconds /= repeat;

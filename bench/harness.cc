@@ -129,24 +129,6 @@ std::string BenchReport::ToJson() const {
         out += ", \"kernel\": ";
         AppendJsonString(run.kernel, &out);
       }
-      if (run.probe_speedup > 0.0) {
-        out += ", \"probe_speedup\": ";
-        AppendJsonDouble(run.probe_speedup, &out);
-      }
-    }
-    if (run.has_verify_micro) {
-      out += ",\n     \"intersect_elems_per_sec\": ";
-      AppendJsonDouble(run.intersect_elems_per_sec, &out);
-      out += ", \"accumulate_elems_per_sec\": ";
-      AppendJsonDouble(run.accumulate_elems_per_sec, &out);
-      if (!run.kernel.empty() && !run.has_index_micro) {
-        out += ", \"kernel\": ";
-        AppendJsonString(run.kernel, &out);
-      }
-      if (run.verify_speedup > 0.0) {
-        out += ", \"verify_speedup\": ";
-        AppendJsonDouble(run.verify_speedup, &out);
-      }
     }
     if (!run.index_source.empty()) {
       out += ",\n     \"index_source\": ";

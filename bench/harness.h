@@ -81,28 +81,14 @@ struct BenchRun {
   /// Micro-index extras (bench_micro_index): one candidate-generation
   /// variant's one-time index build cost and probe throughput (probe
   /// records driven per second, raw postings scanned per second), plus
-  /// which dispatched kernel (src/kernels/) the variant probed with
-  /// and — on the run racing that kernel against the scalar fallback —
-  /// the measured probe speedup over it. Emitted to JSON only when
-  /// has_index_micro is set (kernel/probe_speedup only when non-empty
-  /// / non-zero).
+  /// the kernel implementation (src/kernels/) a CSR variant probed
+  /// with. Emitted to JSON only when has_index_micro is set (kernel
+  /// only when non-empty).
   bool has_index_micro = false;
   double index_build_seconds = 0.0;
   double probe_records_per_sec = 0.0;
   double probe_postings_per_sec = 0.0;
   std::string kernel;
-  double probe_speedup = 0.0;
-
-  /// Micro-verify extras (bench_micro_verify): one kernel variant's
-  /// sorted-set-intersection and weight-accumulation throughput
-  /// (elements processed per second), plus — on the run racing the
-  /// best vector kernel against the scalar fallback — the measured
-  /// intersection speedup. Reuses `kernel` for the variant name.
-  /// Emitted to JSON only when has_verify_micro is set.
-  bool has_verify_micro = false;
-  double intersect_elems_per_sec = 0.0;
-  double accumulate_elems_per_sec = 0.0;
-  double verify_speedup = 0.0;
 
   /// Serving provenance (aujoin query --stats_out): whether the run's
   /// prepared index was "rebuilt" in-process or loaded from a

@@ -8,7 +8,6 @@
 #include "baselines/parallel_verify.h"
 #include "kernels/kernels.h"
 #include "text/qgram.h"
-#include "util/aligned_buffer.h"
 #include "util/timer.h"
 
 namespace aujoin {
@@ -37,22 +36,10 @@ size_t PrefixLen(size_t set_size, double theta, int ell) {
 
 double JaccardSortedIds(const std::vector<uint32_t>& a,
                         const std::vector<uint32_t>& b) {
-  // Ascending distinct gram-id sets intersected through the dispatched
-  // kernel; the matched ids land in a thread_local aligned scratch
-  // reused across every pair a verify worker checks (no per-pair heap
-  // allocation — the hash-set intersection this replaced built one per
-  // call).
+  // Ascending distinct gram-id sets, so the merge count is |a ∩ b|.
   if (a.empty() && b.empty()) return 1.0;
-  const std::vector<uint32_t>& probe = a.size() <= b.size() ? a : b;
-  const std::vector<uint32_t>& base = a.size() <= b.size() ? b : a;
-  thread_local AlignedBuffer<uint32_t> scratch;
-  if (scratch.size() < probe.size() + kKernelLaneSlack) {
-    scratch.Resize(probe.size() + kKernelLaneSlack);
-  }
-  uint32_t* end =
-      ActiveKernel().intersect_sorted(probe.data(), probe.size(), base.data(),
-                                      base.size(), scratch.data());
-  size_t inter = static_cast<size_t>(end - scratch.data());
+  size_t inter =
+      SortedIntersectionCount(a.data(), a.size(), b.data(), b.size());
   size_t uni = a.size() + b.size() - inter;
   return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
@@ -77,7 +64,7 @@ BaselineResult AdaptJoin::SelfJoin(const std::vector<Record>& records) const {
     }
   }
   for (auto& pr : prepared) {
-    // Ascending copy for the kernel-backed verification intersect
+    // Ascending copy for the verification intersect
     // (QGrams dedupes, so these are distinct).
     pr.sorted = pr.grams;
     std::sort(pr.sorted.begin(), pr.sorted.end());

@@ -14,10 +14,6 @@ namespace aujoin {
 /// `num_threads` workers (JoinOptions semantics: 1 = serial, 0 = all
 /// hardware threads) and returns the survivors sorted by (first, second).
 /// `pred` must be safe to call concurrently from multiple threads.
-/// Kernel-backed predicates (the adaptjoin Jaccard check runs the
-/// dispatched sorted-set-intersection kernel) keep their intersection
-/// output in thread_local aligned scratch, so each worker reuses one
-/// buffer across its whole slice instead of allocating per pair.
 template <typename Predicate>
 std::vector<std::pair<uint32_t, uint32_t>> ParallelVerifyPairs(
     const std::vector<std::pair<uint32_t, uint32_t>>& candidates,

@@ -54,8 +54,8 @@ void AddPairVertices(const MsimEvaluator& evaluator,
     g->vertices.resize(options.max_vertices);
   }
 
-  // Flat weight mirrors for the accumulate_weights kernel (after the
-  // cap, so they index the surviving vertices).
+  // Flat weight mirrors for AccumulateWeights (after the cap, so they
+  // index the surviving vertices).
   g->SyncWeightArrays();
 
   g->adj.resize(g->vertices.size());

@@ -36,10 +36,10 @@ struct PairGraph {
   /// Adjacency lists over vertex indexes (conflict edges).
   std::vector<std::vector<uint32_t>> adj;
   /// Flat mirrors of vertices[].weight and its square, indexed by
-  /// vertex — the arrays the accumulate_weights kernel gathers from in
-  /// the SquareImp / claw-improvement sums. BuildPairGraph fills them;
-  /// call SyncWeightArrays after mutating vertices by hand (consumers
-  /// fall back to vertices[].weight when the mirrors are out of date).
+  /// vertex — the arrays AccumulateWeights gathers from in the
+  /// SquareImp / claw-improvement sums. BuildPairGraph fills them; call
+  /// SyncWeightArrays after mutating vertices by hand (consumers fall
+  /// back to vertices[].weight when the mirrors are out of date).
   std::vector<double> weights;
   std::vector<double> weights_sq;
   /// True when vertex enumeration hit the configured cap and some

@@ -170,8 +170,8 @@ double UsimComputer::Approx(const Record& s, const Record& t,
     };
     std::vector<Move> moves;
     // Gains and losses gather from the graph's flat weight mirror
-    // through the dispatched accumulate_weights kernel (the ranking
-    // heuristic only — acceptance still goes through the exact GetSim).
+    // through AccumulateWeights (the ranking heuristic only —
+    // acceptance still goes through the exact GetSim).
     auto weight_delta = [&](const std::vector<uint32_t>& talons) {
       std::vector<uint32_t> removed;
       auto mark_removed = [&](uint32_t v) {
@@ -184,11 +184,9 @@ double UsimComputer::Approx(const Record& s, const Record& t,
         mark_removed(u);
         for (uint32_t v : g.adj[u]) mark_removed(v);
       }
-      const KernelOps& kernel = ActiveKernel();
-      return kernel.accumulate_weights(g.weights.data(), talons.data(),
-                                       talons.size()) -
-             kernel.accumulate_weights(g.weights.data(), removed.data(),
-                                       removed.size());
+      const double* w = g.weights.data();
+      return AccumulateWeights(w, talons.data(), talons.size()) -
+             AccumulateWeights(w, removed.data(), removed.size());
     };
     for (uint32_t u = 0; u < n; ++u) {
       if (in_set[u]) continue;

@@ -9,9 +9,7 @@
 /// posting run. CandidateAccumulator is the matching count-based merge
 /// scratch: probes accumulate per-record occurrence counts into a
 /// reusable epoch-stamped array instead of deduping through a hash set,
-/// and its batch operations run on the dispatched kernels of
-/// src/kernels/ (scalar fallback, AVX2/NEON where the host supports
-/// them).
+/// and its batch operations are the probe loops of kernels/kernels.h.
 ///
 /// Storage model: the index reads through raw-pointer views that
 /// either point at its own vectors (Freeze) or at externally owned
@@ -23,6 +21,7 @@
 #ifndef AUJOIN_INDEX_CSR_INDEX_H_
 #define AUJOIN_INDEX_CSR_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -30,7 +29,6 @@
 
 #include "index/inverted_index.h"
 #include "kernels/kernels.h"
-#include "util/aligned_buffer.h"
 #include "util/status.h"
 
 namespace aujoin {
@@ -43,12 +41,9 @@ class CsrIndex {
  public:
   /// One key's posting run: a contiguous span of ascending, distinct
   /// record ids inside the flat postings array.
-  // Trivial on purpose (no default member initializers) so batched
-  // lookups can stage runs in an AlignedBuffer; always value-initialize
-  // (`Postings{}`) when constructing an empty run.
   struct Postings {
-    const uint32_t* data;
-    size_t size;
+    const uint32_t* data = nullptr;
+    size_t size = 0;
 
     bool empty() const { return size == 0; }
     const uint32_t* begin() const { return data; }
@@ -198,15 +193,12 @@ class CsrIndex {
 
 /// Reusable count-merge scratch for one probing thread. Each record id
 /// owns one packed 64-bit stamp — probe epoch in the high half, count
-/// in the low half — in a 64-byte-aligned flat array, so starting a
-/// new probe is O(1) (stale stamps are ignored, never cleared) and one
-/// load/store pair covers what used to be separate epoch and count
-/// arrays. The batch operations (BumpRun and the selects) execute on
-/// the process's dispatched kernel (kernels/kernels.h): scalar
-/// fallback always, AVX2/NEON when the host supports them, with the
-/// AUJOIN_FORCE_SCALAR override for testing. Not thread-safe: use one
-/// accumulator per worker (or thread_local) and never share
-/// concurrently.
+/// in the low half — in a flat array, so starting a new probe is O(1)
+/// (stale stamps are ignored, never cleared) and one load/store pair
+/// covers what used to be separate epoch and count arrays. The batch
+/// operations (BumpRun and the selects) are the probe loops of
+/// kernels/kernels.h. Not thread-safe: use one accumulator per worker
+/// (or thread_local) and never share concurrently.
 class CandidateAccumulator {
  public:
   /// A borrowed window into the accumulator's internal buffers —
@@ -225,27 +217,26 @@ class CandidateAccumulator {
   /// arrays if needed and invalidates every previous count in O(1).
   void Begin(size_t universe) {
     if (stamps_.size() < universe) {
-      stamps_.Resize(universe);
-      // Output buffers carry kKernelLaneSlack headroom: the vector
-      // kernels append compacted blocks with full-width stores.
-      touched_.Resize(universe + kKernelLaneSlack);
-      selected_.Resize(universe + kKernelLaneSlack);
+      // Growth zero-fills: a zero stamp carries epoch 0, which no probe
+      // uses, so new ids read as count 0.
+      stamps_.resize(universe);
+      touched_.resize(universe);
+      selected_.resize(universe);
     }
     if (epoch_ == 0xFFFFFFFFu) {  // epoch wrap: one real clear per 2^32
-      stamps_.ZeroFill();
+      std::fill(stamps_.begin(), stamps_.end(), 0);
       epoch_ = 0;
     }
     ++epoch_;
     touched_tail_ = touched_.data();
   }
 
-  /// Counts a whole posting run through the dispatched kernel. The
-  /// run's ids must be < the Begin universe (CSR runs also arrive
-  /// sorted and distinct, though the kernels require neither).
+  /// Counts a whole posting run. The run's ids must be < the Begin
+  /// universe (CSR runs also arrive sorted and distinct, though
+  /// CountMergeRun requires neither).
   void BumpRun(const uint32_t* ids, size_t n) {
     touched_tail_ =
-        ActiveKernel().count_merge_run(stamps_.data(), epoch_, ids, n,
-                                       touched_tail_);
+        CountMergeRun(stamps_.data(), epoch_, ids, n, touched_tail_);
   }
 
   /// Counts one posting occurrence; returns the id's updated count.
@@ -277,36 +268,33 @@ class CandidateAccumulator {
   }
 
   /// Touched ids whose count reached `threshold` (first-touch order) —
-  /// the serving path's uniform required overlap, via the dispatched
-  /// kernel.
+  /// the serving path's uniform required overlap.
   IdSpan SelectGE(uint32_t threshold) {
     const IdSpan bumped = touched();
-    uint32_t* end = ActiveKernel().select_ge(stamps_.data(), threshold,
-                                             bumped.ids, bumped.count,
-                                             selected_.data());
+    uint32_t* end = SelectGe(stamps_.data(), threshold, bumped.ids,
+                             bumped.count, selected_.data());
     return IdSpan{selected_.data(),
                   static_cast<size_t>(end - selected_.data())};
   }
 
   /// Touched ids whose count reached min(probe_tau, taus[id]) — the
   /// join path's MergeRequiredOverlap rule with the indexed side's
-  /// effective taus in a flat array, via the dispatched kernel.
+  /// effective taus in a flat array.
   IdSpan SelectMergedGE(const uint32_t* taus, uint32_t probe_tau) {
     const IdSpan bumped = touched();
-    uint32_t* end = ActiveKernel().select_ge_merged(
-        stamps_.data(), taus, probe_tau, bumped.ids, bumped.count,
-        selected_.data());
+    uint32_t* end = SelectGeMerged(stamps_.data(), taus, probe_tau, bumped.ids,
+                                   bumped.count, selected_.data());
     return IdSpan{selected_.data(),
                   static_cast<size_t>(end - selected_.data())};
   }
 
   /// Resolves a signature's keys to posting runs through
-  /// CsrIndex::FindBatch, using this accumulator's aligned scratch so
-  /// probe loops stay allocation-free. The returned view is valid
+  /// CsrIndex::FindBatch, using this accumulator's scratch so probe
+  /// loops stay allocation-free. The returned view is valid
   /// until the next ResolveRuns call on this accumulator.
   const CsrIndex::Postings* ResolveRuns(const CsrIndex& index,
                                         const uint64_t* keys, size_t n) {
-    if (runs_.size() < n) runs_.Resize(n);
+    if (runs_.size() < n) runs_.resize(n);
     index.FindBatch(keys, n, runs_.data());
     return runs_.data();
   }
@@ -316,10 +304,10 @@ class CandidateAccumulator {
   void SetEpochForTesting(uint32_t epoch) { epoch_ = epoch; }
 
  private:
-  AlignedBuffer<uint64_t> stamps_;    // id -> (epoch << 32) | count
-  AlignedBuffer<uint32_t> touched_;   // first-touch ids + lane slack
-  AlignedBuffer<uint32_t> selected_;  // select output + lane slack
-  AlignedBuffer<CsrIndex::Postings> runs_;  // FindBatch output scratch
+  std::vector<uint64_t> stamps_;          // id -> (epoch << 32) | count
+  std::vector<uint32_t> touched_;         // first-touch ids
+  std::vector<uint32_t> selected_;        // select output
+  std::vector<CsrIndex::Postings> runs_;  // FindBatch output scratch
   uint32_t* touched_tail_ = nullptr;
   uint32_t epoch_ = 0;
 };

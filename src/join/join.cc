@@ -88,17 +88,16 @@ JoinContext::FilterOutput JoinContext::RunFilter(
   // doubles as the handle to the indexed signature's effective tau),
   // freeze the staging map into CSR form, probe S. Each probe merges
   // whole posting runs into a reusable epoch-stamped scratch and
-  // selects survivors by required overlap, both through the
-  // runtime-dispatched batch kernels (src/kernels/) — sequential
-  // vectorized scans of contiguous runs instead of per-key hash
-  // lookups and hash-map dedup.
+  // selects survivors by required overlap, both through the probe
+  // loops of kernels/kernels.h — sequential scans of contiguous runs
+  // instead of per-key hash lookups and hash-map dedup.
   timer.Restart();
   InvertedIndex staging;
   for (size_t j = 0; j < t_ids.size(); ++j) {
     staging.Add(static_cast<uint32_t>(j), t_side[j].keys);
   }
   const CsrIndex index = CsrIndex::Freeze(staging);
-  // The indexed side's effective taus by position, for the kernel's
+  // The indexed side's effective taus by position, for the
   // min(probe, indexed) required-overlap select.
   std::vector<uint32_t> t_eff(t_ids.size());
   for (size_t j = 0; j < t_ids.size(); ++j) {

@@ -68,7 +68,7 @@ std::vector<uint32_t> UnifiedSearcher::Candidates(
     overlap.BumpRun(runs[k].data, runs[k].size);
   }
   // Query signatures carry one uniform effective tau, so the survivor
-  // scan is the kernel's flat count >= threshold select.
+  // scan is the flat count >= threshold select.
   CandidateAccumulator::IdSpan kept =
       overlap.SelectGE(static_cast<uint32_t>(sig.effective_tau));
   std::vector<uint32_t> out(kept.begin(), kept.end());

@@ -160,26 +160,6 @@ std::vector<SearchSlice> GenerationalIndex::Slices(
   return slices;
 }
 
-std::vector<GenerationalIndex::Match> GenerationalIndex::Search(
-    const Record& query, const SearchOptions& options,
-    QueryStats* stats) const {
-  return SearchSlices(Slices(), query, /*k=*/0, options, /*num_threads=*/1,
-                      stats);
-}
-
-std::vector<GenerationalIndex::Match> GenerationalIndex::TopK(
-    const Record& query, size_t k, double min_theta,
-    const SearchOptions& options, QueryStats* stats) const {
-  if (k == 0) {
-    // Still a query: count it, answer nothing.
-    if (stats != nullptr) ++stats->queries;
-    return {};
-  }
-  SearchOptions bounded = options;
-  bounded.theta = min_theta;
-  return SearchSlices(Slices(), query, k, bounded, /*num_threads=*/1, stats);
-}
-
 void GenerationalIndex::Refreeze() {
   std::lock_guard<std::mutex> refreeze_lock(refreeze_mutex_);
   std::vector<Record> merged;

@@ -12,8 +12,8 @@
 /// off-lock and swapped in atomically via shared_ptr, exactly the
 /// memtable-flush / SST-compaction split of an LSM tree.
 ///
-/// Thread-safety: Append/Slices/Search/TopK/Refreeze may all be called
-/// concurrently. A query takes the mutex only long enough to
+/// Thread-safety: Append/Slices/Refreeze may all be called
+/// concurrently. A query (Slices) takes the mutex only long enough to
 /// pin both generation pointers (building the staging mini index on
 /// first use after an append); verification runs lock-free on the
 /// pinned immutable snapshots. Refreeze runs the expensive rebuild
@@ -45,7 +45,6 @@ class GenerationalIndex {
  public:
   using Match = UnifiedSearcher::Match;
   using SearchOptions = UnifiedSearcher::SearchOptions;
-  using QueryStats = UnifiedSearcher::QueryStats;
 
   /// Builds the initial frozen generation over `initial` (possibly
   /// empty). Unlike PreparedIndex, the generational index OWNS its
@@ -103,19 +102,6 @@ class GenerationalIndex {
   /// under a query. `built_seconds` (when given) gains the staging
   /// build's seconds if this call paid it.
   std::vector<SearchSlice> Slices(double* built_seconds = nullptr) const;
-
-  /// All records (frozen + staging) with Approx USIM >= theta, merged
-  /// under the serving order (similarity desc, global id asc) — the
-  /// same contract as UnifiedSearcher::Search over the union
-  /// collection.
-  std::vector<Match> Search(const Record& query, const SearchOptions& options,
-                            QueryStats* stats = nullptr) const;
-
-  /// The k best matches with similarity >= min_theta under the serving
-  /// order; byte-identical to the k-prefix of Search's result.
-  std::vector<Match> TopK(const Record& query, size_t k, double min_theta,
-                          const SearchOptions& options,
-                          QueryStats* stats = nullptr) const;
 
   /// Compacts frozen + staging into a new frozen generation. The
   /// rebuild runs outside the serving mutex (queries and appends

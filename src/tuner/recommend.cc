@@ -78,7 +78,7 @@ TauRecommendation RecommendTau(const JoinContext& context,
       next_iteration_cost +=
           cost_model.cf * static_cast<double>(est.last_raw_processed);
     }
-    if (upper_best - lowest_other < next_iteration_cost) {
+    if (upper_best - lowest_other <= next_iteration_cost) {
       rec.best_tau = options.tau_universe[best_idx];
       rec.converged = true;
       break;

@@ -384,6 +384,15 @@ class GenerationalIndexTest : public ::testing::Test {
     return options;
   }
 
+  /// Serves `query` from both generations through the shared
+  /// scatter-gather; k = 0 returns every match >= kTheta.
+  std::vector<GenerationalIndex::Match> Query(
+      const GenerationalIndex& generational, const Record& query,
+      size_t k = 0) const {
+    return SearchSlices(generational.Slices(), query, k, Options(),
+                        /*num_threads=*/1);
+  }
+
   std::unique_ptr<Dataset> dataset_;
 };
 
@@ -412,7 +421,7 @@ TEST_F(GenerationalIndexTest, StagingProbeEqualsScratchBuildOverTheUnion) {
     std::vector<UnifiedSearcher::Match> expected =
         reference.Search(query, options);
     // BEFORE refreeze: merged staging + frozen probe.
-    EXPECT_EQ(generational.Search(query, Options()), expected)
+    EXPECT_EQ(Query(generational, query), expected)
         << "staged probe diverged for query " << query.id;
     any_matches = any_matches || !expected.empty();
   }
@@ -424,8 +433,7 @@ TEST_F(GenerationalIndexTest, StagingProbeEqualsScratchBuildOverTheUnion) {
   EXPECT_EQ(generational.num_frozen(), records.size());
   EXPECT_EQ(generational.num_staged(), 0u);
   for (const Record& query : records) {
-    EXPECT_EQ(generational.Search(query, Options()),
-              reference.Search(query, options))
+    EXPECT_EQ(Query(generational, query), reference.Search(query, options))
         << "refrozen probe diverged for query " << query.id;
   }
   EXPECT_EQ(SweepAll(generational.frozen_index(), records),
@@ -442,11 +450,10 @@ TEST_F(GenerationalIndexTest, TopKEqualsTheKPrefixOfSearch) {
     generational.Append(records[i]);
   }
   for (const Record& query : records) {
-    std::vector<GenerationalIndex::Match> all =
-        generational.Search(query, Options());
-    for (size_t k = 0; k <= all.size() + 1; ++k) {
-      std::vector<GenerationalIndex::Match> top =
-          generational.TopK(query, k, kTheta, Options());
+    std::vector<GenerationalIndex::Match> all = Query(generational, query);
+    // k starts at 1: k = 0 asks SearchSlices for every match.
+    for (size_t k = 1; k <= all.size() + 1; ++k) {
+      std::vector<GenerationalIndex::Match> top = Query(generational, query, k);
       std::vector<GenerationalIndex::Match> expected(
           all.begin(), all.begin() + std::min(k, all.size()));
       EXPECT_EQ(top, expected) << "query " << query.id << " k=" << k;
@@ -458,8 +465,7 @@ TEST_F(GenerationalIndexTest, EmptyInitialGenerationServes) {
   GenerationalIndex generational(dataset_->knowledge(), MsimOptions{.q = 3},
                                  {});
   EXPECT_EQ(generational.size(), 0u);
-  EXPECT_TRUE(
-      generational.Search(dataset_->records[0], Options()).empty());
+  EXPECT_TRUE(Query(generational, dataset_->records[0]).empty());
   for (const Record& r : dataset_->records) generational.Append(r);
   generational.Refreeze();
   auto scratch = PreparedIndex::Build(dataset_->knowledge(),
@@ -483,8 +489,8 @@ TEST_F(GenerationalIndexTest, ConcurrentQueriesDuringRefreezeAreClean) {
     readers.emplace_back([&] {
       size_t q = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        generational.Search(records[q % records.size()], Options());
-        generational.TopK(records[q % records.size()], 3, kTheta, Options());
+        Query(generational, records[q % records.size()]);
+        Query(generational, records[q % records.size()], 3);
         served.fetch_add(1, std::memory_order_relaxed);
         ++q;
       }

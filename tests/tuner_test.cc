@@ -112,6 +112,28 @@ TEST_F(TunerTest, SingleTauUniverseShortCircuits) {
   EXPECT_EQ(rec.iterations, 0);
 }
 
+TEST_F(TunerTest, ZeroCostSamplesStopAtMinIterations) {
+  // Six records at the default 1% rate: nearly every sample is empty
+  // and none holds a pair, so every estimate, every interval and the
+  // next iteration's forecast cost are all 0. Ineq. (24) holds with
+  // equality, which must stop the tuner at min_iterations instead of
+  // running it to max_iterations.
+  std::vector<Record> tiny(corpus_.records.begin(),
+                           corpus_.records.begin() + 6);
+  for (uint32_t i = 0; i < tiny.size(); ++i) tiny[i].id = i;
+  JoinContext context(knowledge_, MsimOptions{});
+  context.Prepare(tiny, nullptr);
+  TunerOptions opts;
+  opts.theta = 0.7;
+  CostModel model;
+  TauRecommendation rec = RecommendTau(context, model, opts);
+  for (double cost : rec.estimated_cost) EXPECT_EQ(cost, 0.0);
+  EXPECT_TRUE(rec.converged);
+  EXPECT_EQ(rec.iterations, opts.min_iterations);
+  // All-zero costs leave the first tau of the universe the best.
+  EXPECT_EQ(rec.best_tau, opts.tau_universe.front());
+}
+
 TEST_F(TunerTest, RecommendationMatchesExhaustiveSearchCost) {
   // The suggested tau's true join time should be close to the best true
   // join time across the universe (within a factor; timing noise).

@@ -1026,7 +1026,8 @@ TEST(WalConcurrencyTest, AppendsRaceQueriesAndRefreezeThenRecoverInParity) {
       while (!done.load()) {
         for (const Record& query : queries) {
           std::vector<GenerationalIndex::Match> matches =
-              generational.Search(query, options);
+              SearchSlices(generational.Slices(), query, /*k=*/0, options,
+                           /*num_threads=*/1);
           // Sanity under the race: serving order and id bounds hold on
           // every intermediate state. (Exact parity is checked once the
           // dust settles.)
@@ -1061,7 +1062,8 @@ TEST(WalConcurrencyTest, AppendsRaceQueriesAndRefreezeThenRecoverInParity) {
       PreparedIndex::Build(world.knowledge(), Msim(), union_records, nullptr);
   UnifiedSearcher reference(scratch);
   for (const Record& query : queries) {
-    EXPECT_EQ(generational.Search(query, options),
+    EXPECT_EQ(SearchSlices(generational.Slices(), query, /*k=*/0, options,
+                           /*num_threads=*/1),
               reference.Search(query, options));
   }
 
