@@ -49,29 +49,82 @@ void Engine::SetRecords(const std::vector<Record>& s,
   auto_checkpoints_ = 0;
   sharded_->Reset();
   index_->Reset();
+  layout_->Reset();
 }
 
-std::shared_ptr<const ShardedIndex> Engine::BuildShards() const {
-  // Serving probes the T side (== S for a self-join); that is the
-  // collection the shard plan splits.
-  const std::vector<Record>& targets =
-      t_records_ != nullptr ? *t_records_ : *s_records_;
-  return std::make_shared<const ShardedIndex>(
-      options_.knowledge, options_.msim, targets,
-      ShardPlan::Make(targets.size(), options_.num_shards,
-                      options_.shard_by));
+Result<std::shared_ptr<const Engine::Layout>> Engine::CheckLayout(
+    const char* caller, Needs needs) const {
+  if (s_records_ == nullptr) {
+    return Status::FailedPrecondition(std::string(caller) +
+                                      " called before SetRecords()");
+  }
+  Result<std::shared_ptr<const Layout>> layout = layout_->Get([this] {
+    auto out = std::make_shared<Layout>();
+    out->self_join = t_records_ == nullptr;
+    out->sharded = options_.num_shards > 0;
+    const bool partitioned =
+        !out->sharded && options_.max_partition_records > 0;
+    auto plan = [&](size_t num_records) {
+      return out->sharded ? ShardPlan::Make(num_records, options_.num_shards,
+                                            options_.shard_by)
+                          : ShardPlan::Bounded(num_records,
+                                               options_.max_partition_records);
+    };
+    out->s_plan = plan(s_records_->size());
+    if (!out->self_join) out->t_plan = plan(t_records_->size());
+    const size_t s_shards = out->s_plan.num_shards();
+    if (out->sharded) out->shape.shards = s_shards;
+    if (partitioned) {
+      out->shape.partitions = s_shards + out->t_plan.num_shards();
+    }
+    if (out->sharded || partitioned) {
+      out->shape.partition_blocks =
+          EnumerateBlocks(s_shards, out->target_plan().num_shards(),
+                          out->self_join)
+              .size();
+    }
+    return std::shared_ptr<const Layout>(std::move(out));
+  });
+  if (!layout.ok()) return layout.status();
+  const bool appending = generational_ != nullptr;
+  if (appending && needs == Needs::kNotAppending) {
+    return Status::FailedPrecondition(
+        std::string(caller) +
+        " is unavailable in append mode: it covers the bound records only, "
+        "not the appends (Checkpoint persists them)");
+  }
+  if (!appending && needs == Needs::kAppending) {
+    return Status::FailedPrecondition(
+        std::string(caller) + " requires append mode (EnableAppend first)");
+  }
+  if (needs == Needs::kAppendable && (appending || (*layout)->sharded)) {
+    return Status::FailedPrecondition(
+        appending ? "append mode is already enabled (SetRecords resets it)"
+                  : "append mode serves one growing collection as frozen + "
+                    "staging generations; it cannot run on a sharded engine "
+                    "(num_shards > 0)");
+  }
+  return layout;
+}
+
+Result<std::shared_ptr<const ShardedIndex>> Engine::Shards(
+    const Layout& layout, double* built_seconds) const {
+  return sharded_->Get(
+      [&] {
+        return std::make_shared<const ShardedIndex>(
+            options_.knowledge, options_.msim, targets(), layout.target_plan());
+      },
+      built_seconds);
 }
 
 Status Engine::SaveIndex(const std::string& path) const {
-  if (options_.num_shards > 0) {
-    // Sharded mode persists one snapshot file per shard behind a
-    // manifest, so a later engine can mount shards independently.
-    if (s_records_ == nullptr) {
-      return Status::FailedPrecondition(
-          "Engine::SaveIndex called before SetRecords()");
-    }
-    Result<std::shared_ptr<const ShardedIndex>> sharded =
-        sharded_->Get([this] { return BuildShards(); });
+  Result<std::shared_ptr<const Layout>> layout =
+      CheckLayout("Engine::SaveIndex", Needs::kNotAppending);
+  if (!layout.ok()) return layout.status();
+  if ((*layout)->sharded) {
+    // One snapshot file per shard behind a manifest, so a later engine
+    // can mount shards independently.
+    Result<std::shared_ptr<const ShardedIndex>> sharded = Shards(**layout);
     if (!sharded.ok()) return sharded.status();
     return (*sharded)->Save(path, ResolveEnv(options_));
   }
@@ -81,24 +134,16 @@ Status Engine::SaveIndex(const std::string& path) const {
 }
 
 Status Engine::LoadIndex(const std::string& path) {
-  if (s_records_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::LoadIndex called before SetRecords()");
-  }
-  if (generational_ != nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::LoadIndex is unavailable in append mode (EnableAppend "
-        "mounts checkpoints itself)");
-  }
+  Result<std::shared_ptr<const Layout>> layout =
+      CheckLayout("Engine::LoadIndex", Needs::kNotAppending);
+  if (!layout.ok()) return layout.status();
   WallTimer timer;
-  if (options_.num_shards > 0) {
-    // Sharded mode mounts the manifest now and each shard's file lazily
-    // at that shard's first probe.
-    const std::vector<Record>& targets =
-        t_records_ != nullptr ? *t_records_ : *s_records_;
+  if ((*layout)->sharded) {
+    // The manifest mounts now, each shard's file lazily at that shard's
+    // first probe.
     Result<std::unique_ptr<ShardedIndex>> loaded = ShardedIndex::Load(
-        options_.knowledge, options_.msim, targets, options_.num_shards,
-        options_.shard_by, path, ResolveEnv(options_));
+        options_.knowledge, options_.msim, targets(),
+        (*layout)->target_plan(), path, ResolveEnv(options_));
     if (!loaded.ok()) return loaded.status();
     from_snapshot_ = true;
     snapshot_load_seconds_ = timer.Seconds();
@@ -119,26 +164,15 @@ Status Engine::LoadIndex(const std::string& path) {
 Status Engine::EnableAppend(const std::string& wal_path,
                             RecordFactory make_record,
                             const std::string& checkpoint_path) {
-  if (s_records_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::EnableAppend called before SetRecords()");
-  }
+  AUJOIN_RETURN_NOT_OK(
+      CheckLayout("Engine::EnableAppend", Needs::kAppendable).status());
   if (t_records_ != nullptr) {
     return Status::InvalidArgument(
         "append mode serves a single growing collection (self-join only)");
   }
-  if (options_.num_shards > 0) {
-    return Status::FailedPrecondition(
-        "append mode serves one growing collection as frozen + staging "
-        "generations; it cannot run on a sharded engine (num_shards > 0)");
-  }
   if (make_record == nullptr) {
     return Status::InvalidArgument(
         "EnableAppend requires a record factory to tokenise appends");
-  }
-  if (generational_ != nullptr) {
-    return Status::FailedPrecondition(
-        "append mode is already enabled (SetRecords resets it)");
   }
   Env* env = ResolveEnv(options_);
 
@@ -238,10 +272,8 @@ Status Engine::EnableAppend(const std::string& wal_path,
 }
 
 Result<uint32_t> Engine::Append(const std::string& text) {
-  if (generational_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::Append requires append mode (EnableAppend first)");
-  }
+  AUJOIN_RETURN_NOT_OK(
+      CheckLayout("Engine::Append", Needs::kAppending).status());
   Result<uint32_t> id = generational_->AppendDurable(make_record_(text));
   if (!id.ok()) return id;
   // Size-driven checkpointing: the append above is already durable (WAL
@@ -257,19 +289,15 @@ Result<uint32_t> Engine::Append(const std::string& text) {
 }
 
 Status Engine::Refreeze() {
-  if (generational_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::Refreeze requires append mode (EnableAppend first)");
-  }
+  AUJOIN_RETURN_NOT_OK(
+      CheckLayout("Engine::Refreeze", Needs::kAppending).status());
   generational_->Refreeze();
   return Status::OK();
 }
 
 Status Engine::Checkpoint(const std::string& path) {
-  if (generational_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::Checkpoint requires append mode (EnableAppend first)");
-  }
+  AUJOIN_RETURN_NOT_OK(
+      CheckLayout("Engine::Checkpoint", Needs::kAppending).status());
   generational_->Refreeze();
   std::shared_ptr<const PreparedIndex> frozen = generational_->frozen_index();
   AUJOIN_RETURN_NOT_OK(
@@ -329,15 +357,9 @@ AlgorithmContext Engine::MakeAlgorithmContext() {
 Result<JoinStats> Engine::Join(const std::string& algorithm,
                                const EngineJoinOptions& options,
                                MatchSink* sink) {
-  if (s_records_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::Join called before SetRecords()");
-  }
-  if (generational_ != nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::Join is unavailable in append mode: joins run over the "
-        "bound collections and would miss appended records");
-  }
+  Result<std::shared_ptr<const Layout>> layout =
+      CheckLayout("Engine::Join", Needs::kNotAppending);
+  if (!layout.ok()) return layout.status();
   if (sink == nullptr) {
     return Status::InvalidArgument("Engine::Join requires a sink");
   }
@@ -356,25 +378,16 @@ Result<JoinStats> Engine::Join(const std::string& algorithm,
     return Status::InvalidArgument("algorithm '" + algorithm +
                                    "' supports self-joins only");
   }
-  AlgorithmContext ctx = MakeAlgorithmContext();
-  JoinStats stats;
-  if (options_.num_shards > 0 || options_.max_partition_records > 0) {
-    PipelineOptions pipeline_options;
-    pipeline_options.max_partition_records = options_.max_partition_records;
-    pipeline_options.num_threads = options_.num_threads;
-    pipeline_options.num_shards = options_.num_shards;
-    pipeline_options.shard_by = options_.shard_by;
-    pipeline_options.spill_budget_bytes = options_.spill_budget_bytes;
-    pipeline_options.spill_dir = options_.spill_dir;
-    pipeline_options.env = ResolveEnv(options_);
-    AUJOIN_RETURN_NOT_OK(RunPartitionedJoin(
-        [&algorithm] {
-          return AlgorithmRegistry::Global().Create(algorithm);
-        },
-        ctx, options, pipeline_options, sink, &stats));
-    return stats;
-  }
-  AUJOIN_RETURN_NOT_OK(algo->Run(ctx, options, sink, &stats));
+  PipelineOptions pipeline_options;
+  pipeline_options.num_threads = options_.num_threads;
+  pipeline_options.spill_budget_bytes = options_.spill_budget_bytes;
+  pipeline_options.spill_dir = options_.spill_dir;
+  pipeline_options.env = ResolveEnv(options_);
+  JoinStats stats = (*layout)->shape;
+  AUJOIN_RETURN_NOT_OK(RunPartitionedJoin(
+      [&algorithm] { return AlgorithmRegistry::Global().Create(algorithm); },
+      MakeAlgorithmContext(), options, (*layout)->s_plan,
+      (*layout)->target_plan(), pipeline_options, sink, &stats));
   return stats;
 }
 
@@ -415,16 +428,15 @@ void AddSearchStats(const SearchStats& call, SearchStats* stats) {
 }  // namespace
 
 Result<Engine::ServingView> Engine::ServingSlices(SearchStats* stats) const {
-  if (s_records_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine serving called before SetRecords()");
-  }
+  Result<std::shared_ptr<const Layout>> layout =
+      CheckLayout("Engine serving", Needs::kAnyMode);
+  if (!layout.ok()) return layout.status();
   ServingView view;
   if (generational_ != nullptr) {
     view.slices = generational_->Slices(&stats->index_seconds);
-  } else if (options_.num_shards > 0) {
-    Result<std::shared_ptr<const ShardedIndex>> sharded = sharded_->Get(
-        [this] { return BuildShards(); }, &stats->index_seconds);
+  } else if ((*layout)->sharded) {
+    Result<std::shared_ptr<const ShardedIndex>> sharded =
+        Shards(**layout, &stats->index_seconds);
     if (!sharded.ok()) return sharded.status();
     Result<std::vector<SearchSlice>> slices =
         (*sharded)->Slices(options_.num_threads, &stats->index_seconds);
@@ -448,13 +460,9 @@ Result<std::vector<UnifiedSearcher::Match>> Engine::Search(
   SearchStats call;
   Result<ServingView> view = ServingSlices(&call);
   if (!view.ok()) return view.status();
-  UnifiedSearcher::QueryStats query_stats;
   std::vector<UnifiedSearcher::Match> matches =
       SearchSlices(view->slices, query, options.k, ToSearcherOptions(options),
-                   view->scatter_threads, &query_stats, &call.index_seconds);
-  call.queries = query_stats.queries;
-  call.query_candidates = query_stats.candidates;
-  call.bound_rejected = query_stats.bound_rejected;
+                   view->scatter_threads, &call);
   call.results = matches.size();
   call.search_seconds = wall.Seconds();
   AddSearchStats(call, stats);
@@ -492,10 +500,8 @@ Result<std::vector<UnifiedSearcher::Match>> Engine::TopK(
     // TopK's k is authoritative: explicitly asking for zero results
     // must not fall through to Search's "0 = unbounded" — and must not
     // force the lazy index build just to return nothing.
-    if (s_records_ == nullptr) {
-      return Status::FailedPrecondition(
-          "Engine::TopK called before SetRecords()");
-    }
+    AUJOIN_RETURN_NOT_OK(
+        CheckLayout("Engine::TopK", Needs::kAnyMode).status());
     if (stats != nullptr) {
       ++stats->queries;
     }
@@ -520,8 +526,7 @@ Status Engine::BatchSearch(
       ToSearcherOptions(options);
   const int workers = ResolveThreads(options_.num_threads);
   std::vector<std::vector<UnifiedSearcher::Match>> results(queries.size());
-  std::vector<UnifiedSearcher::QueryStats> worker_stats(workers);
-  std::vector<double> worker_froze(workers, 0.0);
+  std::vector<SearchStats> worker_stats(workers);
   // Parallelism lives at the query level here (each worker owns a query
   // range and reuses one thread_local count-merge accumulator across
   // it), so every query scatters over the slices serially — never a
@@ -531,8 +536,7 @@ Status Engine::BatchSearch(
                 for (size_t q = begin; q < end; ++q) {
                   results[q] = SearchSlices(
                       view->slices, queries[q], options.k, searcher_options,
-                      /*num_threads=*/1, &worker_stats[worker],
-                      &worker_froze[worker]);
+                      /*num_threads=*/1, &worker_stats[worker]);
                 }
               });
 
@@ -547,12 +551,7 @@ Status Engine::BatchSearch(
       }
     }
   }
-  for (int w = 0; w < workers; ++w) {
-    call.queries += worker_stats[w].queries;
-    call.query_candidates += worker_stats[w].candidates;
-    call.bound_rejected += worker_stats[w].bound_rejected;
-    call.index_seconds += worker_froze[w];
-  }
+  for (const SearchStats& worker : worker_stats) AddSearchStats(worker, &call);
   call.results = emitted;
   call.search_seconds = wall.Seconds();
   AddSearchStats(call, stats);
@@ -575,14 +574,8 @@ Status Engine::BatchSearch(const std::vector<Record>& queries,
 
 Result<TauRecommendation> Engine::SuggestTau(
     const EngineJoinOptions& options, const TunerOptions& tuner_options) {
-  if (s_records_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::SuggestTau called before SetRecords()");
-  }
-  if (generational_ != nullptr) {
-    return Status::FailedPrecondition(
-        "Engine::SuggestTau is unavailable in append mode");
-  }
+  AUJOIN_RETURN_NOT_OK(
+      CheckLayout("Engine::SuggestTau", Needs::kNotAppending).status());
   const JoinOptions join_options =
       ToJoinOptions(options, MakeAlgorithmContext());
   return aujoin::SuggestTau(PreparedContext(), join_options, tuner_options);

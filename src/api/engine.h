@@ -47,31 +47,32 @@ struct EngineOptions {
   size_t cache_evict_threshold = 500000;
   /// Candidate pairs verified per streaming flush to a MatchSink.
   size_t stream_batch_size = 4096;
-  /// When > 0, every Join runs through the partitioned pipeline: each
-  /// bound collection is split into the fewest balanced range shards of
-  /// at most this many records (ShardPlan::Bounded) and shard-pair
-  /// blocks execute in parallel on a shared thread pool, bounding
-  /// prepared-context memory by the blocks in flight instead of the
-  /// whole collection (see join/pipeline.h). 0 runs the monolithic path.
-  /// Either way the match set and its emission order are identical.
+  /// When > 0 (and num_shards == 0), every Join splits each bound
+  /// collection into the fewest balanced range shards of at most this
+  /// many records (ShardPlan::Bounded) and runs the shard-pair blocks in
+  /// parallel on a shared thread pool, bounding prepared-context memory
+  /// by the blocks in flight (see join/pipeline.h); serving stays
+  /// monolithic. 0 = one shard. Either way the match set and its
+  /// emission order are identical.
   size_t max_partition_records = 0;
   /// First-class shards: when > 0, the bound collection(s) are split
-  /// into exactly this many shards (by `shard_by`), joins enumerate
-  /// shard-pair blocks through the same pipeline the partition mode
-  /// uses, serving scatters every query across the shards' slices and
-  /// merges the ranked results, and SaveIndex/LoadIndex persist one
-  /// snapshot file per shard behind a manifest. Results are
-  /// byte-identical to the monolithic path. Takes precedence over
-  /// max_partition_records. EnableAppend refuses a sharded engine
-  /// (appends grow one collection, served as frozen + staging).
+  /// into exactly this many shards (by `shard_by`), joins run the
+  /// shard-pair blocks through the same pipeline as partition mode,
+  /// serving scatters every query across the shards' slices and merges
+  /// the ranked results, and SaveIndex/LoadIndex persist one snapshot
+  /// file per shard behind a manifest. Results are byte-identical to the
+  /// monolithic path. Takes precedence over max_partition_records.
+  /// EnableAppend refuses a sharded engine (appends grow one
+  /// collection, served as frozen + staging).
   size_t num_shards = 0;
   /// Shard placement scheme (record range or key hash); see
   /// shard/shard_plan.h.
   ShardBy shard_by = ShardBy::kRange;
-  /// Out-of-core joins: when > 0, a sharded/partitioned join whose
-  /// buffered result set exceeds this many bytes spills sorted runs to
-  /// temp files in `spill_dir` and merges them back at emission
-  /// (identical results, bounded memory). 0 = always in-memory.
+  /// Out-of-core joins: when > 0, a join of several shard-pair blocks
+  /// whose buffered result set exceeds this many bytes spills sorted
+  /// runs to temp files in `spill_dir` and merges them back at emission
+  /// (identical results, bounded memory). A one-block join buffers
+  /// nothing, so it never spills. 0 = always in-memory.
   size_t spill_budget_bytes = 0;
   /// Directory for spill temp files ("" = current directory). Files
   /// are unlinked as soon as they are mapped, so none outlive the join.
@@ -108,32 +109,6 @@ struct EngineSearchOptions {
   /// Keep only the k best matches per query (similarity desc, id asc);
   /// 0 = every match above theta.
   size_t k = 0;
-};
-
-/// Aggregated serving statistics of one Search/TopK/BatchSearch call.
-struct SearchStats {
-  uint64_t queries = 0;
-  /// Candidate records that survived the signature filter (verified).
-  uint64_t query_candidates = 0;
-  /// Of those, candidates rejected from the USIM upper bound alone (no
-  /// pair graph built; see core/usim.h).
-  uint64_t bound_rejected = 0;
-  /// Matches returned to the caller. On the streaming overloads (sink
-  /// or callback) this counts matches actually emitted — a consumer
-  /// that stops early caps it, including the match it declined.
-  uint64_t results = 0;
-  /// The one-time index work this call paid across the slices it
-  /// searched, in every serving mode: lazy prepares (the monolithic
-  /// index, each shard's, append mode's staging generation), snapshot
-  /// mounts of lazily loaded shards, and CSR serving-index freezes.
-  /// Concurrent calls charge each piece once, to the call that did it;
-  /// 0 once everything is resident.
-  double index_seconds = 0.0;
-  /// Wall seconds of the whole call, including any index build.
-  double search_seconds = 0.0;
-  /// Shards the query scattered across (EngineOptions::num_shards);
-  /// zero on the monolithic and append serving paths.
-  uint64_t shards = 0;
 };
 
 /// The unified facade over every join algorithm in the registry.
@@ -211,7 +186,8 @@ class Engine {
   /// Persists the prepared index (building it first if needed) as a
   /// versioned snapshot at `path` — see storage/snapshot_format.h. A
   /// later engine bound to the SAME records and knowledge can LoadIndex
-  /// it and skip preparation entirely.
+  /// it and skip preparation entirely. kFailedPrecondition in append
+  /// mode, whose appends only Checkpoint persists.
   Status SaveIndex(const std::string& path) const;
 
   /// Replaces the lazy prepared index with one loaded from a snapshot,
@@ -358,23 +334,61 @@ class Engine {
     int scatter_threads = 1;
   };
 
-  /// The serving path's one mode switch. Pins the slices a query
-  /// scatters to: append mode's frozen + staging generations, a sharded
-  /// engine's N shards (built or mounted lazily, in parallel; scattered
-  /// over num_threads), or else the one shared index (no records are
-  /// copied). Monolithic and append slices are searched inline. Adds
-  /// the lazy prepare and mount seconds it paid to stats->index_seconds
-  /// and sets stats->shards for a sharded engine.
+  /// Pins the slices a query scatters to, by the engine's mode: append
+  /// mode's frozen + staging generations, a sharded engine's N shards
+  /// (built or mounted lazily, in parallel; scattered over
+  /// num_threads), or else the one shared index (no records are
+  /// copied). Monolithic and append slices are searched
+  /// inline. Adds the lazy prepare and mount seconds it paid to
+  /// stats->index_seconds and sets stats->shards for a sharded engine.
   Result<ServingView> ServingSlices(SearchStats* stats) const;
 
-  /// The build step of sharded_: the T side (== S for self-joins) split
-  /// under the engine's shard plan.
-  std::shared_ptr<const ShardedIndex> BuildShards() const;
+  /// How the bound collections split, decided once per SetRecords.
+  struct Layout {
+    /// The plans every join runs over: num_shards shards, the fewest
+    /// within max_partition_records, or (monolithic) one shard per side.
+    /// t_plan is unused on a self-join.
+    ShardPlan s_plan;
+    ShardPlan t_plan;
+    bool self_join = true;
+    /// Serving scatters over shards of the T side (num_shards > 0).
+    bool sharded = false;
+    /// The plan-shape stats every join reports (0/0/0 when monolithic).
+    JoinStats shape;
+
+    const ShardPlan& target_plan() const {
+      return self_join ? s_plan : t_plan;
+    }
+  };
+
+  /// What a public method requires of the engine's mode.
+  enum class Needs { kAnyMode, kNotAppending, kAppendable, kAppending };
+
+  /// The one place the engine's mode is resolved and checked: the
+  /// layout, computed on first use after SetRecords and shared after,
+  /// or kFailedPrecondition naming `caller` when no records are bound
+  /// or the mode does not meet `needs` (kAppendable: neither in append
+  /// mode nor sharded).
+  Result<std::shared_ptr<const Layout>> CheckLayout(const char* caller,
+                                                    Needs needs) const;
+
+  /// The sharded serving structure over `layout`'s target plan, built
+  /// lazily unless LoadIndex mounted one.
+  Result<std::shared_ptr<const ShardedIndex>> Shards(
+      const Layout& layout, double* built_seconds = nullptr) const;
+
+  /// The collection serving probes: T, or S on a self-join.
+  const std::vector<Record>& targets() const {
+    return t_records_ != nullptr ? *t_records_ : *s_records_;
+  }
 
   EngineOptions options_;
   const std::vector<Record>* s_records_ = nullptr;
   const std::vector<Record>* t_records_ = nullptr;
   std::unique_ptr<JoinContext> context_;
+  /// CheckLayout's cache, reset by SetRecords.
+  std::unique_ptr<LazyShared<Layout>> layout_ =
+      std::make_unique<LazyShared<Layout>>();
   /// The lazily built shared index (the only engine state const
   /// serving methods publish); immutable once built. Behind a
   /// unique_ptr so the Engine stays movable (moving while another

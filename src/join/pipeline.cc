@@ -157,6 +157,7 @@ void RunBlock(const AlgorithmFactory& factory,
 Status RunPartitionedJoin(const AlgorithmFactory& factory,
                           const AlgorithmContext& context,
                           const EngineJoinOptions& options,
+                          const ShardPlan& s_plan, const ShardPlan& t_plan,
                           const PipelineOptions& pipeline_options,
                           MatchSink* sink, JoinStats* stats) {
   if (context.s_records == nullptr) {
@@ -165,52 +166,32 @@ Status RunPartitionedJoin(const AlgorithmFactory& factory,
   if (sink == nullptr || stats == nullptr) {
     return Status::InvalidArgument("pipeline requires a sink and stats");
   }
-  const bool shard_mode = pipeline_options.num_shards > 0;
-  if (!shard_mode && pipeline_options.max_partition_records == 0) {
-    return Status::InvalidArgument(
-        "the pipeline needs num_shards or max_partition_records > 0");
-  }
-
   const bool self = context.self_join();
-  // Both modes are range or hash shard plans per side: exactly
-  // num_shards shards, or (partition mode) the fewest balanced range
-  // shards within the record bound.
-  auto plan_for = [&](size_t num_records) {
-    return shard_mode ? ShardPlan::Make(num_records,
-                                        pipeline_options.num_shards,
-                                        pipeline_options.shard_by)
-                      : ShardPlan::Bounded(
-                            num_records,
-                            pipeline_options.max_partition_records);
-  };
-  const ShardPlan s_plan = plan_for(context.s_records->size());
-  const ShardPlan t_plan = self ? s_plan : plan_for(context.t_records->size());
+  if (s_plan.num_records != context.s_records->size() ||
+      t_plan.num_records !=
+          (self ? context.s_records : context.t_records)->size()) {
+    return Status::InvalidArgument(
+        "pipeline shard plans do not cover the bound records");
+  }
   std::vector<PartitionBlock> blocks =
       EnumerateBlocks(s_plan.num_shards(), t_plan.num_shards(), self);
 
-  if (shard_mode) {
-    stats->shards = s_plan.num_shards();
-  } else {
-    stats->partitions =
-        s_plan.num_shards() + (self ? 0 : t_plan.num_shards());
-  }
-  stats->partition_blocks = blocks.size();
-
-  const bool spilling = pipeline_options.spill_budget_bytes > 0;
-  // Stripe streaming needs stripe i's firsts to precede stripe i + 1's;
-  // hash plans interleave, and a spill budget needs the collect path's
-  // buffer accounting, so both fall through to collect-and-merge.
-  const bool streaming = s_plan.contiguous && !spilling;
-
-  if (blocks.size() <= 1 && !spilling) {
-    // One block covers everything: run the monolithic path directly (and
-    // through the engine's shared prepared context, not a block copy).
+  if (blocks.size() <= 1) {
+    // One block covers everything: run the algorithm directly on the
+    // caller's context (the engine's shared prepared one), not a block
+    // copy. Nothing is buffered, so there is nothing to spill.
     std::unique_ptr<JoinAlgorithm> algo = factory();
     if (algo == nullptr) {
       return Status::Internal("algorithm factory returned null");
     }
     return algo->Run(context, options, sink, stats);
   }
+
+  const bool spilling = pipeline_options.spill_budget_bytes > 0;
+  // Stripe streaming needs stripe i's firsts to precede stripe i + 1's;
+  // hash plans interleave, and a spill budget needs the collect path's
+  // buffer accounting, so both fall through to collect-and-merge.
+  const bool streaming = s_plan.contiguous && !spilling;
 
   std::vector<BlockResult> results(blocks.size());
   std::mutex done_mutex;

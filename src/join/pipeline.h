@@ -20,34 +20,19 @@ class Env;
 /// layer free of a registry dependency.
 using AlgorithmFactory = std::function<std::unique_ptr<JoinAlgorithm>()>;
 
-/// Execution policy of the blocked join pipeline. Two ways in: the
-/// size-bounded partition mode (max_partition_records) and the
-/// first-class shard mode (num_shards); both lower onto one ShardPlan
-/// and share the block enumeration, execution and merge machinery.
+/// Execution policy of the blocked join pipeline. What the blocks are
+/// comes from the two ShardPlans RunPartitionedJoin takes.
 struct PipelineOptions {
-  /// Upper bound on records per partition; both sides of an R-S join are
-  /// sharded with the same bound. Ignored when num_shards > 0; at least
-  /// one of the two must be set (0/0 selects the monolithic path at the
-  /// Engine level and never reaches the pipeline).
-  size_t max_partition_records = 0;
   /// Worker count of the shared pool that runs blocks (ResolveThreads
   /// semantics: 0 = all hardware threads). Each block is
   /// single-threaded internally; parallelism comes from running blocks
   /// concurrently.
   int num_threads = 1;
-  /// First-class shard mode: split the collection(s) into exactly this
-  /// many shards (ShardPlan::Make) and enumerate shard-pair blocks.
-  /// Takes precedence over max_partition_records.
-  size_t num_shards = 0;
-  /// Shard placement scheme of the shard mode (range keeps the
-  /// stripe-streaming emission; hash models distributed placement and
-  /// switches to collect-and-merge emission).
-  ShardBy shard_by = ShardBy::kRange;
-  /// Out-of-core budget: when > 0, the join buffers merged results and
-  /// spills sorted runs to temp files in `spill_dir` once the buffer
-  /// exceeds this many bytes, merging them back at emission — joins
-  /// bigger than RAM degrade to sequential I/O instead of OOMing.
-  /// 0 = never spill.
+  /// Out-of-core budget: when > 0, a join of several blocks buffers
+  /// merged results and spills sorted runs to temp files in `spill_dir`
+  /// once the buffer exceeds this many bytes, merging them back at
+  /// emission — joins bigger than RAM degrade to sequential I/O instead
+  /// of OOMing. 0 = never spill.
   size_t spill_budget_bytes = 0;
   /// Directory for spill temp files ("" = "."). Files are unlinked the
   /// moment they are mapped for merge-back, so nothing survives the
@@ -60,13 +45,17 @@ struct PipelineOptions {
 
 /// Runs one join as a pipeline of shard-pair blocks.
 ///
-/// The bound collection(s) are split under a ShardPlan — contiguous
-/// size-bounded partitions (partition mode), or exactly num_shards
-/// range/hash shards (shard mode) — and every shard pair becomes an
-/// independent block: a self-contained prepare → candidate generation →
-/// batched verification run over just that pair's record slices,
-/// executed on a shared ThreadPool. Peak prepared-state memory is
-/// bounded by the blocks in flight instead of the whole collection.
+/// `s_plan` splits the S records and `t_plan` the T records (pass
+/// s_plan again on a self-join); each must cover its side's records.
+/// Every shard pair becomes an independent block: a self-contained
+/// prepare → candidate generation → batched verification run over just
+/// that pair's record slices, executed on a shared ThreadPool. Peak
+/// prepared-state memory is bounded by the blocks in flight instead of
+/// the whole collection. A plan pair with at most one block (the
+/// monolithic engine's one-shard plans among them) has nothing to split
+/// or merge: the algorithm runs once on `context` itself — the engine's
+/// shared prepared context, with no record copy, extra prepare or
+/// spill — and streams straight to the sink.
 ///
 /// Result parity with the monolithic path is structural:
 ///  - self-joins run the upper triangle of blocks; a diagonal block
@@ -87,15 +76,16 @@ struct PipelineOptions {
 ///    second), each pair exactly once, early termination honoured.
 ///
 /// Stats: per-stage seconds are summed across blocks (aggregate work,
-/// not wall time), counts are summed; `partitions`/`shards` +
-/// `partition_blocks` record the plan shape and `spill_runs/pairs/bytes`
-/// the out-of-core traffic. On early termination under stripe streaming
-/// the stats cover the stripes emitted so far; the collect-and-merge
-/// path has already run every block by emission time, so its stats
-/// always cover the whole join.
+/// not wall time), counts are summed, and `spill_runs/pairs/bytes`
+/// record the out-of-core traffic; the plan-shape fields are the
+/// caller's (the Engine sets them from its layout). On early
+/// termination under stripe streaming the stats cover the stripes
+/// emitted so far; the collect-and-merge path has already run every
+/// block by emission time, so its stats always cover the whole join.
 Status RunPartitionedJoin(const AlgorithmFactory& factory,
                           const AlgorithmContext& context,
                           const EngineJoinOptions& options,
+                          const ShardPlan& s_plan, const ShardPlan& t_plan,
                           const PipelineOptions& pipeline_options,
                           MatchSink* sink, JoinStats* stats);
 

@@ -78,7 +78,7 @@ std::vector<uint32_t> UnifiedSearcher::Candidates(
 
 std::vector<UnifiedSearcher::Match> UnifiedSearcher::VerifyCandidates(
     const Record& query, const SearchOptions& options,
-    QueryStats* stats) const {
+    SearchStats* stats) const {
   std::vector<Match> matches;
   if (index_ == nullptr) return matches;
   if (stats != nullptr) ++stats->queries;
@@ -93,7 +93,7 @@ std::vector<UnifiedSearcher::Match> UnifiedSearcher::VerifyCandidates(
   UsimComputer computer(knowledge_, usim_options);
   const std::vector<Record>& collection = index_->t_records();
   std::vector<uint32_t> candidates = Candidates(query, options);
-  if (stats != nullptr) stats->candidates += candidates.size();
+  if (stats != nullptr) stats->query_candidates += candidates.size();
   for (uint32_t id : candidates) {
     // Serving reports similarities: reject below theta from the bound,
     // score every other candidate with the full Algorithm 1 value.
@@ -107,7 +107,7 @@ std::vector<UnifiedSearcher::Match> UnifiedSearcher::VerifyCandidates(
 
 std::vector<UnifiedSearcher::Match> UnifiedSearcher::Search(
     const Record& query, const SearchOptions& options,
-    QueryStats* stats) const {
+    SearchStats* stats) const {
   std::vector<Match> matches = VerifyCandidates(query, options, stats);
   RankMatches(0, &matches);
   return matches;
@@ -115,7 +115,7 @@ std::vector<UnifiedSearcher::Match> UnifiedSearcher::Search(
 
 std::vector<UnifiedSearcher::Match> UnifiedSearcher::TopK(
     const Record& query, size_t k, double min_theta,
-    const SearchOptions& options, QueryStats* stats) const {
+    const SearchOptions& options, SearchStats* stats) const {
   if (k == 0) {
     // Still a query: count it, answer nothing.
     if (stats != nullptr) ++stats->queries;
@@ -131,19 +131,18 @@ std::vector<UnifiedSearcher::Match> UnifiedSearcher::TopK(
 std::vector<UnifiedSearcher::Match> SearchSlices(
     const std::vector<SearchSlice>& slices, const Record& query, size_t k,
     const UnifiedSearcher::SearchOptions& options, int num_threads,
-    UnifiedSearcher::QueryStats* stats, double* index_seconds) {
+    SearchStats* stats) {
   using Match = UnifiedSearcher::Match;
   const size_t n = slices.size();
   std::vector<std::vector<Match>> per_slice(n);
-  std::vector<UnifiedSearcher::QueryStats> slice_stats(n);
-  std::vector<double> froze(n, 0.0);
+  std::vector<SearchStats> slice_stats(n);
   ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
     for (size_t s = begin; s < end; ++s) {
       const SearchSlice& slice = slices[s];
       // Freeze the slice's CSR here, in the (possibly parallel) scatter,
       // so its one-time cost is timed and charged to the call that paid
       // it; ServingIndex assigns its out-parameter, hence the slot.
-      slice.index->ServingIndex(&froze[s]);
+      slice.index->ServingIndex(&slice_stats[s].index_seconds);
       UnifiedSearcher searcher(slice.index);
       std::vector<Match> matches =
           k > 0 ? searcher.TopK(query, k, options.theta, options,
@@ -155,13 +154,11 @@ std::vector<UnifiedSearcher::Match> SearchSlices(
   });
   if (stats != nullptr) {
     ++stats->queries;
-    for (const UnifiedSearcher::QueryStats& slice : slice_stats) {
-      stats->candidates += slice.candidates;
+    for (const SearchStats& slice : slice_stats) {
+      stats->query_candidates += slice.query_candidates;
       stats->bound_rejected += slice.bound_rejected;
+      stats->index_seconds += slice.index_seconds;
     }
-  }
-  if (index_seconds != nullptr) {
-    for (double seconds : froze) *index_seconds += seconds;
   }
   // Local-to-global maps are ascending, so one slice's list is already
   // in serving order; several are concatenated and re-ranked.

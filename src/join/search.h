@@ -11,6 +11,34 @@
 
 namespace aujoin {
 
+/// Serving statistics, accumulated into the caller's struct by the
+/// searcher, SearchSlices and every Engine Search/TopK/BatchSearch call.
+struct SearchStats {
+  uint64_t queries = 0;
+  /// Candidate records that survived the signature filter (verified).
+  uint64_t query_candidates = 0;
+  /// Of those, candidates rejected from the USIM upper bound alone (no
+  /// pair graph built; see core/usim.h).
+  uint64_t bound_rejected = 0;
+  /// Matches returned to the caller. On the engine's streaming
+  /// overloads (sink or callback) this counts matches actually emitted
+  /// — a consumer that stops early caps it, including the match it
+  /// declined.
+  uint64_t results = 0;
+  /// The one-time index work the call paid across the slices it
+  /// searched, in every serving mode: lazy prepares (the monolithic
+  /// index, each shard's, append mode's staging generation), snapshot
+  /// mounts of lazily loaded shards, and CSR serving-index freezes.
+  /// Concurrent calls charge each piece once, to the call that did it;
+  /// 0 once everything is resident.
+  double index_seconds = 0.0;
+  /// Wall seconds of the whole engine call, including any index build.
+  double search_seconds = 0.0;
+  /// Shards the query scattered across (EngineOptions::num_shards);
+  /// zero on the monolithic and append serving paths.
+  uint64_t shards = 0;
+};
+
 /// Online unified similarity *search*: index a collection once, then
 /// answer "which records are similar to this query?" requests. The
 /// collection side is indexed with its records' full pebble key sets, so
@@ -61,21 +89,11 @@ class UnifiedSearcher {
     FilterMethod method = FilterMethod::kAuDp;
   };
 
-  /// Per-query statistics, accumulated into the caller's struct.
-  struct QueryStats {
-    uint64_t queries = 0;
-    /// Candidate records surviving the signature filter (verified).
-    uint64_t candidates = 0;
-    /// Candidates rejected from the USIM upper bound alone (no pair
-    /// graph built; see core/usim.h).
-    uint64_t bound_rejected = 0;
-  };
-
   /// All indexed records with Approx USIM >= theta, sorted by descending
   /// similarity, ties by ascending id. An empty (zero-token) query
   /// matches nothing. Thread-safe.
   std::vector<Match> Search(const Record& query, const SearchOptions& options,
-                            QueryStats* stats = nullptr) const;
+                            SearchStats* stats = nullptr) const;
 
   /// The k most similar records with similarity >= min_theta, under the
   /// same total order as Search (similarity desc, id asc) — ties at the
@@ -86,7 +104,7 @@ class UnifiedSearcher {
   /// exact-similarity matches. Thread-safe.
   std::vector<Match> TopK(const Record& query, size_t k, double min_theta,
                           const SearchOptions& options,
-                          QueryStats* stats = nullptr) const;
+                          SearchStats* stats = nullptr) const;
 
   size_t num_indexed() const {
     return index_ == nullptr ? 0 : index_->t_records().size();
@@ -105,7 +123,7 @@ class UnifiedSearcher {
   /// apply the cheapest ordering (full sort vs bounded partial sort).
   std::vector<Match> VerifyCandidates(const Record& query,
                                       const SearchOptions& options,
-                                      QueryStats* stats) const;
+                                      SearchStats* stats) const;
 
   Knowledge knowledge_;
   MsimOptions msim_;
@@ -141,14 +159,13 @@ struct SearchSlice {
 /// cuts its own TopK at k, as the global k best lie within the union of
 /// those lists, and the merge cuts again). Slices are searched in
 /// parallel over `num_threads` (ResolveThreads semantics; pass 1 when
-/// the caller already parallelises). The query counts once in `stats`.
-/// `index_seconds` (when given) gains the one-time CSR-freeze seconds
-/// this call paid across the slices. Thread-safe.
+/// the caller already parallelises). The query counts once in `stats`,
+/// whose index_seconds gains the one-time CSR-freeze seconds this call
+/// paid across the slices. Thread-safe.
 std::vector<UnifiedSearcher::Match> SearchSlices(
     const std::vector<SearchSlice>& slices, const Record& query, size_t k,
     const UnifiedSearcher::SearchOptions& options, int num_threads,
-    UnifiedSearcher::QueryStats* stats = nullptr,
-    double* index_seconds = nullptr);
+    SearchStats* stats = nullptr);
 
 }  // namespace aujoin
 

@@ -35,7 +35,8 @@ ShardedIndex::ShardedIndex(const Knowledge& knowledge,
     : knowledge_(knowledge),
       msim_(msim),
       shard_by_(plan.shard_by),
-      num_records_(records.size()) {
+      num_records_(records.size()),
+      records_hash_(HashFullCollection(records)) {
   shards_.reserve(plan.num_shards());
   for (size_t s = 0; s < plan.num_shards(); ++s) {
     auto shard = std::make_unique<Shard>();
@@ -120,29 +121,13 @@ Status ShardedIndex::Save(const std::string& path, Env* env) const {
     if (!index.ok()) return index.status();
     AUJOIN_RETURN_NOT_OK((*index)->Save(ShardFileName(path, s), env));
   }
-  // Reassemble the full-collection fingerprint from the owned slices:
-  // global id order, original ids restored.
-  std::vector<const Record*> by_global(num_records_, nullptr);
-  for (const auto& shard : shards_) {
-    for (size_t i = 0; i < shard->global_ids.size(); ++i) {
-      by_global[shard->global_ids[i]] = &shard->records[i];
-    }
-  }
-  uint64_t records_hash = num_records_;
-  for (size_t id = 0; id < by_global.size(); ++id) {
-    records_hash = HashCombine(records_hash, id);
-    records_hash = HashCombine(
-        records_hash, HashTokenSpan(by_global[id]->tokens.data(),
-                                    by_global[id]->tokens.size()));
-  }
-
   std::vector<uint8_t> payload(sizeof(ShardManifestHeader) +
                                shards_.size() * sizeof(uint64_t));
   ShardManifestHeader header;
   header.num_records = num_records_;
   header.num_shards = static_cast<uint32_t>(shards_.size());
   header.shard_by = static_cast<uint32_t>(shard_by_);
-  header.records_hash = records_hash;
+  header.records_hash = records_hash_;
   std::memcpy(payload.data(), &header, sizeof(header));
   for (size_t s = 0; s < shards_.size(); ++s) {
     uint64_t count = shards_[s]->records.size();
@@ -156,7 +141,7 @@ Status ShardedIndex::Save(const std::string& path, Env* env) const {
 
 Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
     const Knowledge& knowledge, const MsimOptions& msim,
-    const std::vector<Record>& records, size_t num_shards, ShardBy shard_by,
+    const std::vector<Record>& records, const ShardPlan& plan,
     const std::string& path, Env* env) {
   if (env == nullptr) env = Env::Default();
   Result<std::shared_ptr<const SnapshotReader>> reader =
@@ -182,23 +167,20 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
         path + ": manifest covers " + std::to_string(header.num_records) +
         " records, " + std::to_string(records.size()) + " are bound");
   }
-  if (num_shards == 0) num_shards = 1;
-  if (header.num_shards != num_shards ||
-      header.shard_by != static_cast<uint32_t>(shard_by)) {
+  if (header.num_shards != plan.num_shards() ||
+      header.shard_by != static_cast<uint32_t>(plan.shard_by)) {
     return Status::FailedPrecondition(
         path + ": manifest is " + std::to_string(header.num_shards) +
         " shards by " +
         ShardByName(static_cast<ShardBy>(header.shard_by)) +
-        ", engine wants " + std::to_string(num_shards) + " by " +
-        ShardByName(shard_by));
+        ", engine wants " + std::to_string(plan.num_shards()) + " by " +
+        ShardByName(plan.shard_by));
   }
-  if (header.records_hash != HashFullCollection(records)) {
+  auto index = std::make_unique<ShardedIndex>(knowledge, msim, records, plan);
+  if (header.records_hash != index->records_hash_) {
     return Status::FailedPrecondition(
         path + ": bound records do not match the manifest fingerprint");
   }
-  ShardPlan plan = ShardPlan::Make(records.size(), num_shards, shard_by);
-  auto index = std::unique_ptr<ShardedIndex>(
-      new ShardedIndex(knowledge, msim, records, plan));
   index->env_ = env;
   for (size_t s = 0; s < index->shards_.size(); ++s) {
     uint64_t count = 0;

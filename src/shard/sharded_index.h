@@ -38,8 +38,9 @@ class Env;
 class ShardedIndex {
  public:
   /// Splits `records` under `plan` (each shard copies its slice with
-  /// ids renumbered 0..n-1, so the index owns everything it serves).
-  /// Shard indexes are built lazily; nothing heavy happens here.
+  /// ids renumbered 0..n-1, so the index owns everything it serves) and
+  /// fingerprints the whole collection for the manifest. Shard indexes
+  /// are built lazily; nothing heavy happens here.
   ShardedIndex(const Knowledge& knowledge, const MsimOptions& msim,
                const std::vector<Record>& records, const ShardPlan& plan);
   ~ShardedIndex();
@@ -76,15 +77,16 @@ class ShardedIndex {
   Status Save(const std::string& path, Env* env = nullptr) const;
 
   /// Mounts a sharded snapshot saved by Save: validates the manifest at
-  /// `path` (shard count, placement scheme and the full-collection
-  /// fingerprint must match), then arms every shard for LAZY mounting —
+  /// `path` against `records` split under `plan` (shard count, placement
+  /// scheme, per-shard sizes and the full-collection fingerprint must
+  /// match), then arms every shard for LAZY mounting —
   /// a shard's file is mapped on that shard's first probe, without
   /// touching the rest. Per-shard fingerprints are validated by that
   /// mount, so a tampered shard file surfaces as a typed error at first
   /// probe, never as UB.
   static Result<std::unique_ptr<ShardedIndex>> Load(
       const Knowledge& knowledge, const MsimOptions& msim,
-      const std::vector<Record>& records, size_t num_shards, ShardBy shard_by,
+      const std::vector<Record>& records, const ShardPlan& plan,
       const std::string& path, Env* env = nullptr);
 
   /// `<path>.shard-<s>` — where Save puts shard s's snapshot.
@@ -105,6 +107,9 @@ class ShardedIndex {
   MsimOptions msim_;
   ShardBy shard_by_ = ShardBy::kRange;
   size_t num_records_ = 0;
+  /// Order-sensitive fingerprint of the unsharded collection (ids and
+  /// tokens), written to and checked against the manifest.
+  uint64_t records_hash_ = 0;
   Env* env_ = nullptr;  // used only for lazy snapshot mounts
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -35,12 +35,18 @@ TauRecommendation RecommendTau(const JoinContext& context,
   sig.method = options.method;
   sig.exact_min_partition = options.exact_min_partition;
 
+  const bool self = context.self_join();
+  bool held_pair = false;
   int n = 0;
   while (n < options.max_iterations) {
     ++n;
     BernoulliSample sample = DrawBernoulliSample(
-        context.s_prepared().size(), context.t_prepared().size(),
-        context.self_join(), ps, pt, &rng);
+        context.s_prepared().size(), context.t_prepared().size(), self, ps,
+        pt, &rng);
+    const size_t s_count = sample.s_ids.size();
+    const size_t t_count = sample.t_ids.size();
+    rec.sampled_records += s_count + (self ? 0 : t_count);
+    held_pair = held_pair || (self ? s_count >= 2 : s_count > 0 && t_count > 0);
     for (size_t k = 0; k < num_taus; ++k) {
       sig.tau = options.tau_universe[k];
       AccumulateSampleEstimate(context, sig, sample, ps, pt, &estimators[k]);
@@ -80,7 +86,7 @@ TauRecommendation RecommendTau(const JoinContext& context,
     }
     if (upper_best - lowest_other <= next_iteration_cost) {
       rec.best_tau = options.tau_universe[best_idx];
-      rec.converged = true;
+      rec.converged = held_pair;
       break;
     }
     rec.best_tau = options.tau_universe[best_idx];

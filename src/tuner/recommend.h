@@ -38,7 +38,13 @@ struct TauRecommendation {
   double seconds = 0.0;
   /// Final cost estimate per tau (aligned with TunerOptions::tau_universe).
   std::vector<double> estimated_cost;
-  /// True when the CI stopping rule fired (vs. hitting max_iterations).
+  /// Records drawn across every iteration's samples (both sides of an
+  /// R-S join): how much data the estimates rest on.
+  uint64_t sampled_records = 0;
+  /// True when the CI stopping rule fired (vs. hitting max_iterations)
+  /// and at least one sample held a record pair. Samples without a pair
+  /// estimate every cost as 0, which says nothing about tau, so such a
+  /// run never reports converged.
   bool converged = false;
 };
 

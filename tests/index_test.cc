@@ -268,13 +268,13 @@ TEST(ServingDuplicateKeyTest, RepeatedRecordKeysPostAndCountOnce) {
 
   // The self query survives the filter exactly once.
   UnifiedSearcher searcher(index);
-  UnifiedSearcher::QueryStats stats;
+  SearchStats stats;
   UnifiedSearcher::SearchOptions options;
   options.theta = 0.5;
   auto matches = searcher.Search(collection[0], options, &stats);
   ASSERT_FALSE(matches.empty());
   EXPECT_EQ(matches[0].id, 0u);
-  EXPECT_EQ(stats.candidates, 1u);
+  EXPECT_EQ(stats.query_candidates, 1u);
 }
 
 TEST_F(PreparedIndexTest, ConcurrentServingIndexAndQueryGeneration) {

@@ -174,13 +174,13 @@ TEST_F(SearchCorpusTest, SharedIndexSearcherMatchesLegacyIndexPath) {
 TEST_F(SearchCorpusTest, SearchCountsQueryStats) {
   UnifiedSearcher searcher(knowledge_, MsimOptions{});
   searcher.Index(&corpus_.records);
-  UnifiedSearcher::QueryStats stats;
+  SearchStats stats;
   UnifiedSearcher::SearchOptions options;
   options.theta = 0.5;
   auto matches = searcher.Search(corpus_.records[3], options, &stats);
   EXPECT_EQ(stats.queries, 1u);
   // Every match was first a candidate; the self-hit guarantees both > 0.
-  EXPECT_GE(stats.candidates, matches.size());
+  EXPECT_GE(stats.query_candidates, matches.size());
   EXPECT_GE(matches.size(), 1u);
 }
 
@@ -220,10 +220,10 @@ TEST_F(TopKEdgeCaseTest, TiesBreakTowardLowerIds) {
 
 TEST_F(TopKEdgeCaseTest, KZeroReturnsNothingButCountsTheQuery) {
   Record query = world_.MakeRec(100, "espresso cafe helsinki");
-  UnifiedSearcher::QueryStats stats;
+  SearchStats stats;
   EXPECT_TRUE(searcher_->TopK(query, 0, 0.5, {}, &stats).empty());
   EXPECT_EQ(stats.queries, 1u);
-  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(stats.query_candidates, 0u);
 }
 
 TEST_F(TopKEdgeCaseTest, ThetaOneKeepsOnlyExactSimilarityMatches) {
@@ -241,7 +241,7 @@ TEST_F(TopKEdgeCaseTest, EmptyQueryMatchesNothing) {
   Record empty = world_.MakeRec(100, "");
   EXPECT_EQ(empty.num_tokens(), 0u);
   EXPECT_TRUE(searcher_->Search(empty, {}).empty());
-  UnifiedSearcher::QueryStats stats;
+  SearchStats stats;
   EXPECT_TRUE(searcher_->TopK(empty, 5, 0.1, {}, &stats).empty());
   EXPECT_EQ(stats.queries, 1u);
 }

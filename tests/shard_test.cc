@@ -513,6 +513,40 @@ TEST_F(ShardSnapshotTest, SaveLoadRoundTripServesIdentically) {
   }
 }
 
+TEST_F(ShardSnapshotTest, NonPositionalIdsRoundTrip) {
+  // Record ids need not be positions: the manifest fingerprint Save
+  // writes must be the one Load recomputes from the bound records.
+  std::vector<Record> records = records_;
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].id = static_cast<uint32_t>(100 + i);
+  }
+  const std::string path = TempPath("ids.aujsnap");
+  Engine writer = MakeEngine(4, ShardBy::kHash);
+  writer.SetRecords(records);
+  ASSERT_OK(writer.SaveIndex(path));
+
+  Engine reader = MakeEngine(4, ShardBy::kHash);
+  reader.SetRecords(records);
+  ASSERT_OK(reader.LoadIndex(path));
+  EXPECT_STREQ(reader.index_source(), "snapshot");
+  EngineSearchOptions options;
+  options.theta = 0.5;
+  for (const Record& query : records) {
+    Result<std::vector<UnifiedSearcher::Match>> built =
+        writer.Search(query, options);
+    Result<std::vector<UnifiedSearcher::Match>> mounted =
+        reader.Search(query, options);
+    ASSERT_OK(built.status());
+    ASSERT_OK(mounted.status());
+    EXPECT_EQ(*mounted, *built) << "query " << query.id;
+  }
+
+  std::remove(path.c_str());
+  for (size_t s = 0; s < 4; ++s) {
+    std::remove(ShardedIndex::ShardFileName(path, s).c_str());
+  }
+}
+
 TEST_F(ShardSnapshotTest, LazyMountTouchesOnlyTheProbedShards) {
   const std::string path = TempPath("lazy.aujsnap");
   {

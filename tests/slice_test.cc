@@ -93,7 +93,7 @@ class SearchSliceTest : public ::testing::Test {
     for (size_t q = 0; q < records_.size(); q += 9) {
       const Record& query = records_[q];
       std::vector<Match> expected = monolithic_->Search(query, options_);
-      UnifiedSearcher::QueryStats stats;
+      SearchStats stats;
       std::vector<Match> all =
           SearchSlices(slices, query, 0, options_, /*num_threads=*/2, &stats);
       EXPECT_EQ(all, expected) << label << " query " << q;
@@ -168,13 +168,14 @@ TEST_F(SearchSliceTest, FreezeSecondsAreChargedOnceAndNoSlicesMatchNothing) {
   for (const std::vector<uint32_t>& ids : plan.shard_ids) {
     slices.push_back(MakeSlice(&ids, false));
   }
-  double first = 0.0, second = 0.0;
-  SearchSlices(slices, records_[0], 0, options_, 3, nullptr, &first);
-  SearchSlices(slices, records_[0], 0, options_, 3, nullptr, &second);
-  EXPECT_GT(first, 0.0) << "the first call freezes every slice's CSR";
-  EXPECT_EQ(second, 0.0) << "later calls find them frozen";
+  SearchStats first, second;
+  SearchSlices(slices, records_[0], 0, options_, 3, &first);
+  SearchSlices(slices, records_[0], 0, options_, 3, &second);
+  EXPECT_GT(first.index_seconds, 0.0)
+      << "the first call freezes every slice's CSR";
+  EXPECT_EQ(second.index_seconds, 0.0) << "later calls find them frozen";
 
-  UnifiedSearcher::QueryStats stats;
+  SearchStats stats;
   EXPECT_TRUE(SearchSlices({}, records_[0], 0, options_, 1, &stats).empty());
   EXPECT_EQ(stats.queries, 1u);
 }

@@ -128,10 +128,25 @@ TEST_F(TunerTest, ZeroCostSamplesStopAtMinIterations) {
   CostModel model;
   TauRecommendation rec = RecommendTau(context, model, opts);
   for (double cost : rec.estimated_cost) EXPECT_EQ(cost, 0.0);
-  EXPECT_TRUE(rec.converged);
+  EXPECT_FALSE(rec.converged);
   EXPECT_EQ(rec.iterations, opts.min_iterations);
   // All-zero costs leave the first tau of the universe the best.
   EXPECT_EQ(rec.best_tau, opts.tau_universe.front());
+}
+
+TEST_F(TunerTest, RecommendationCountsItsSampledRecords) {
+  TunerOptions opts;
+  opts.tau_universe = {1, 2, 3, 4};
+  opts.sample_prob_s = 0.1;
+  opts.min_iterations = 5;
+  opts.max_iterations = 40;
+  opts.theta = 0.8;
+  CostModel model;
+  TauRecommendation rec = RecommendTau(*context_, model, opts);
+  // About 10% of the 400 records per iteration, on one side (self-join).
+  const double expected = 0.1 * 400.0 * rec.iterations;
+  EXPECT_GT(static_cast<double>(rec.sampled_records), 0.7 * expected);
+  EXPECT_LT(static_cast<double>(rec.sampled_records), 1.3 * expected);
 }
 
 TEST_F(TunerTest, RecommendationMatchesExhaustiveSearchCost) {

@@ -637,6 +637,18 @@ TEST_F(WalEngineTest, JoinIsRefusedInAppendMode) {
   EXPECT_EQ(join.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(WalEngineTest, SaveIndexIsRefusedInAppendMode) {
+  // A snapshot of the bound base would silently drop every append; only
+  // Checkpoint persists them.
+  Engine engine = MakeEngine(nullptr);
+  ASSERT_OK(engine.EnableAppend(wal_path_, Factory()));
+  ASSERT_OK(engine.Append("latte coffee shop").status());
+  const std::string path = TempPath("append_save.aujsnap");
+  Status saved = engine.SaveIndex(path);
+  EXPECT_EQ(saved.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(Env::Default()->FileExists(path)) << "nothing was written";
+}
+
 TEST_F(WalEngineTest, FailedAppendStaysFailedAndNeverResurrects) {
   FaultInjectionEnv fenv(Env::Default());
   {

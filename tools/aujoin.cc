@@ -907,6 +907,16 @@ int RunTune(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", rec.status().ToString().c_str());
     return 1;
   }
+  if (!rec->converged) {
+    std::fprintf(stderr,
+                 "warning: the tau suggestion did not converge after %d "
+                 "iterations over %llu sampled records; best_tau=%d is a "
+                 "guess (a larger --sample draws record pairs to estimate "
+                 "from)\n",
+                 rec->iterations,
+                 static_cast<unsigned long long>(rec->sampled_records),
+                 rec->best_tau);
+  }
   options.tau = rec->best_tau;
   CountingSink counter;
   Result<JoinStats> joined = engine.Join("unified", options, &counter);
@@ -924,6 +934,9 @@ int RunTune(const Flags& flags) {
   json += ", ";
   AppendJsonKey("converged", &json);
   json += rec->converged ? "true" : "false";
+  json += ", ";
+  AppendJsonKey("sampled_records", &json);
+  AppendJsonUint(rec->sampled_records, &json);
   json += ", ";
   AppendJsonKey("suggest_seconds", &json);
   AppendJsonDouble(rec->seconds, &json);
